@@ -18,7 +18,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="bench-out")
     parser.add_argument("--m", type=int, default=50_000)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--quick", action="store_true",
                         help="small problem for a fast end-to-end check")
     args = parser.parse_args()
@@ -26,13 +25,12 @@ def main() -> int:
     if args.quick:
         plans = [("quick", BenchConfig(m=4_000, n=5, seeds=(0,), batch_size=512,
                                        max_iters=400, sgd_iterations=400,
-                                       workers=args.workers,
                                        out_dir=str(Path(args.out_dir) / "quick")))]
     else:
         plans = [
-            ("n=20", BenchConfig(m=args.m, n=20, seeds=(0, 1, 2), workers=args.workers,
+            ("n=20", BenchConfig(m=args.m, n=20, seeds=(0, 1, 2),
                                  out_dir=str(Path(args.out_dir) / "n20"))),
-            ("n=55", BenchConfig(m=args.m, n=55, seeds=(0,), workers=args.workers,
+            ("n=55", BenchConfig(m=args.m, n=55, seeds=(0,),
                                  out_dir=str(Path(args.out_dir) / "n55"))),
         ]
 

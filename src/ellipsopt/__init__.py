@@ -38,7 +38,6 @@ from .problems import (
     generate_synthetic,
     load_dataset_csv,
     logistic_value_grad,
-    sample_oracle,
     save_dataset_csv,
     split_train_test,
 )
@@ -46,10 +45,11 @@ from .reporting import IterationRecord, SolverReport, read_trace_csv, write_trac
 from .sgd import DivergedError, SgdConfig, default_step_grid, sgd_run
 from .solver import (
     NoFeasiblePointError,
+    Plan,
     SolverConfig,
-    best_point_selection,
     estimate_value_range,
     iteration_budget,
+    resolve_plan,
     solve,
     theoretical_gap,
 )

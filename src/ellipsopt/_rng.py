@@ -1,10 +1,11 @@
 """Deterministic counter-based random streams.
 
 Every stochastic draw in this package is keyed by (seed, stream, step) and a
-batch-element index. Element ``l`` of a batch owns a fixed Philox counter
-block, and normals come from the inverse CDF (fixed consumption per element,
-unlike rejection samplers), so a batch can be generated whole, in chunks, or
-across worker threads and still produce bit-identical values.
+batch-element index. A batch is drawn serially in one call: element ``l``
+reads its own Philox counter blocks (lanes it does not need are discarded),
+and normals come from the inverse CDF, a fixed consumption per element
+unlike rejection samplers. The batch mean is then reduced by a pairwise
+tree whose shape depends only on the batch size.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ def stream_key(seed: int, stream: int, step: int) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
-def raw_lanes(key: np.ndarray, first_element: int, count: int, lanes_per_element: int) -> np.ndarray:
-    """Raw 64-bit words for batch elements [first_element, first_element + count).
+def raw_lanes(key: np.ndarray, count: int, lanes_per_element: int) -> np.ndarray:
+    """(count, lanes_per_element) raw 64-bit words, one row per batch element.
 
-    Element l always reads the same counter blocks regardless of how the
-    batch is chunked, which is what makes worker partitioning invisible.
+    Element l reads whole counter blocks of its own, starting at block
+    l * ceil(lanes_per_element / 4); the unused lanes are dropped.
     """
     blocks = -(-lanes_per_element // _LANES_PER_BLOCK)
-    bits = Philox(key=key, counter=int(first_element) * blocks)
-    raw = bits.random_raw(count * blocks * _LANES_PER_BLOCK)
+    raw = Philox(key=key).random_raw(count * blocks * _LANES_PER_BLOCK)
     return raw.reshape(count, blocks * _LANES_PER_BLOCK)[:, :lanes_per_element]
 
 
@@ -51,14 +51,14 @@ def open_uniforms(raw: np.ndarray) -> np.ndarray:
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
 
 
-def standard_normals(key: np.ndarray, first_element: int, count: int, dims: int) -> np.ndarray:
-    """(count, dims) standard normals for the given batch-element window."""
-    return ndtri(open_uniforms(raw_lanes(key, first_element, count, dims)))
+def standard_normals(key: np.ndarray, count: int, dims: int) -> np.ndarray:
+    """(count, dims) standard normals, one row per batch element."""
+    return ndtri(open_uniforms(raw_lanes(key, count, dims)))
 
 
-def uniform_indices(key: np.ndarray, first_element: int, count: int, upper: int) -> np.ndarray:
+def uniform_indices(key: np.ndarray, count: int, upper: int) -> np.ndarray:
     """(count,) integers uniform on [0, upper), one per batch element."""
-    raw = raw_lanes(key, first_element, count, 1)[:, 0]
+    raw = raw_lanes(key, count, 1)[:, 0]
     u = (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
     idx = (u * upper).astype(np.int64)
     return np.minimum(idx, upper - 1)
@@ -67,8 +67,8 @@ def uniform_indices(key: np.ndarray, first_element: int, count: int, upper: int)
 def pairwise_sum(rows: np.ndarray) -> np.ndarray:
     """Fixed-shape pairwise reduction over axis 0.
 
-    The tree depends only on the number of rows, never on how the rows were
-    produced, so chunked generation cannot change the rounding.
+    The tree depends only on the number of rows, so the rounding of a batch
+    mean is fixed by the batch size.
     """
     a = np.asarray(rows, dtype=np.float64)
     if a.shape[0] == 0:

@@ -14,15 +14,14 @@ neither axis alone tells the story.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .oracles import required_batch_size
 from .problems import (
     LogisticProblem,
     erm_reference,
@@ -32,7 +31,7 @@ from .problems import (
 )
 from .reporting import SolverReport, format_float, write_trace_csv
 from .sgd import DivergedError, SgdConfig, default_step_grid, sgd_run
-from .solver import SolverConfig, estimate_value_range, iteration_budget, solve
+from .solver import SolverConfig, resolve_plan, solve
 
 SOLVER_NAMES = ("ellipsoid", "sgd")
 THRESHOLDS = (1e-1, 1e-2, 1e-3)
@@ -50,7 +49,11 @@ class InfeasibleConfigError(ValueError):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Experiment description; every field maps to one manifest key."""
+    """Experiment description; every field maps to one manifest key.
+
+    ``workers`` has no effect; it is kept so that existing callers and
+    saved manifests still load.
+    """
 
     m: int = 50_000
     n: int = 20
@@ -71,7 +74,6 @@ class BenchConfig:
     weight_radius: float = 10.0
     erm_tol: float = 1e-4
     workers: int = 1
-    parallel_seeds: bool = False
     out_dir: str = "bench-out"
 
     def __post_init__(self) -> None:
@@ -118,7 +120,7 @@ class RunRow:
     crossings: tuple[int | None, int | None, int | None]
     oracle_calls: int
     eval_calls: int
-    wall_time_s: float | None
+    wall_time_s: float
     final_test_loss: float
     report: SolverReport | None = None
 
@@ -132,7 +134,7 @@ class RunRow:
             *("" if c is None else str(c) for c in self.crossings),
             str(self.oracle_calls),
             str(self.eval_calls),
-            "" if self.wall_time_s is None else f"{self.wall_time_s:.3f}",
+            f"{self.wall_time_s:.3f}",
             format_float(self.final_test_loss),
         ]
 
@@ -199,13 +201,6 @@ def iterate_test_curve(records, test_problem: LogisticProblem, chunk: int = 512)
     return np.concatenate(parts)
 
 
-def _resolve_theory_batch(sigma: float, diameter: float, eps: float, beta: float, budget: int):
-    try:
-        return required_batch_size(sigma, diameter, eps, beta / (2.0 * max(budget, 1)))
-    except ValueError as exc:
-        raise InfeasibleConfigError(str(exc)) from exc
-
-
 def _load_seed_data(config: BenchConfig, seed: int):
     if config.csv is not None:
         dataset = load_dataset_csv(config.csv)
@@ -214,32 +209,31 @@ def _load_seed_data(config: BenchConfig, seed: int):
     return split_train_test(dataset, config.test_fraction, seed=seed)
 
 
-def _run_seed(config: BenchConfig, seed: int, clock: bool) -> SeedOutcome:
+def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
     train, test = _load_seed_data(config, seed)
     problem = LogisticProblem(train, weight_radius=config.weight_radius)
     test_problem = LogisticProblem(test, weight_radius=config.weight_radius)
     ball = problem.feasible_set
-    diameter = ball.diameter
     oracle = problem.oracle()
 
     sigma = config.sigma if config.sigma is not None else problem.fitted_sigma
-    value_range = estimate_value_range(oracle, ball, seed=seed, workers=config.workers)
-    budget = config.max_iters
-    if budget is None:
-        budget = iteration_budget(ball.dimension, diameter, value_range,
-                                  ball.inner_radius, config.eps)
-    theory_batch: int | None
-    if config.batch_size is None:
-        theory_batch = _resolve_theory_batch(sigma, diameter, config.eps, config.beta, budget)
-        batch_size = theory_batch
-    else:
-        try:
-            theory_batch = _resolve_theory_batch(sigma, diameter, config.eps, config.beta, budget)
-        except InfeasibleConfigError:
-            theory_batch = None
-        batch_size = config.batch_size
-    sweep = config.sweep if config.sweep is not None else default_step_grid(diameter, value_range)
-    sgd_iters = config.sgd_iterations if config.sgd_iterations is not None else max(budget, 1)
+    solver_cfg = SolverConfig(
+        eps=config.eps,
+        beta=config.beta,
+        sigma=sigma,
+        seed=seed,
+        batch_size=config.batch_size,
+        eval_batch_size=config.eval_batch_size,
+        max_iterations=config.max_iters,
+    )
+    try:
+        plan = resolve_plan(oracle, ball, solver_cfg)
+    except ValueError as exc:
+        raise InfeasibleConfigError(str(exc)) from exc
+    # the solve reuses the probed range instead of probing again
+    solver_cfg = dataclasses.replace(solver_cfg, value_range=plan.value_range)
+    sweep = config.sweep if config.sweep is not None else default_step_grid(ball.diameter, plan.value_range)
+    sgd_iters = config.sgd_iterations if config.sgd_iterations is not None else max(plan.iterations, 1)
 
     w_star, f_star_train = erm_reference(problem, tol=config.erm_tol, seed=seed)
     f_star_test = float(test_problem.objective(w_star))
@@ -249,24 +243,13 @@ def _run_seed(config: BenchConfig, seed: int, clock: bool) -> SeedOutcome:
         f_star_train=f_star_train,
         f_star_test=f_star_test,
         sigma=sigma,
-        value_range=value_range,
-        iterations=budget,
-        theory_batch_size=theory_batch,
+        value_range=plan.value_range,
+        iterations=plan.iterations,
+        theory_batch_size=plan.theory_batch_size,
         sweep=tuple(sweep),
     )
 
     if "ellipsoid" in config.solvers:
-        solver_cfg = SolverConfig(
-            eps=config.eps,
-            beta=config.beta,
-            sigma=sigma,
-            seed=seed,
-            workers=config.workers,
-            batch_size=batch_size,
-            eval_batch_size=config.eval_batch_size,
-            max_iterations=budget,
-            value_range=value_range,
-        )
         t0 = time.perf_counter()
         report = solve(oracle, ball, solver_cfg)
         wall = time.perf_counter() - t0
@@ -281,7 +264,7 @@ def _run_seed(config: BenchConfig, seed: int, clock: bool) -> SeedOutcome:
                 crossings=first_crossings(curve, f_star_test),
                 oracle_calls=report.grad_draws,
                 eval_calls=report.eval_draws,
-                wall_time_s=wall if clock else None,
+                wall_time_s=wall,
                 final_test_loss=float(curve[-1]),
                 report=report,
             )
@@ -294,8 +277,6 @@ def _run_seed(config: BenchConfig, seed: int, clock: bool) -> SeedOutcome:
                 iterations=sgd_iters,
                 batch_size=config.sgd_batch_size,
                 seed=seed,
-                workers=config.workers,
-                report="last",
             )
             t0 = time.perf_counter()
             try:
@@ -311,7 +292,7 @@ def _run_seed(config: BenchConfig, seed: int, clock: bool) -> SeedOutcome:
                         crossings=(None, None, None),
                         oracle_calls=0,
                         eval_calls=0,
-                        wall_time_s=(time.perf_counter() - t0) if clock else None,
+                        wall_time_s=time.perf_counter() - t0,
                         final_test_loss=math.inf,
                         report=None,
                     )
@@ -329,7 +310,7 @@ def _run_seed(config: BenchConfig, seed: int, clock: bool) -> SeedOutcome:
                     crossings=first_crossings(curve, f_star_test),
                     oracle_calls=report.grad_draws,
                     eval_calls=report.eval_draws,
-                    wall_time_s=wall if clock else None,
+                    wall_time_s=wall,
                     final_test_loss=float(curve[-1]),
                     report=report,
                 )
@@ -375,7 +356,7 @@ def render_summary_csv(rows: list[RunRow]) -> str:
 
 # --- manifest / config file format -----------------------------------------
 
-_BOOL_KEYS = {"intercept", "parallel_seeds"}
+_BOOL_KEYS = {"intercept"}
 _INT_KEYS = {"m", "n", "batch_size", "eval_batch_size", "max_iters",
              "sgd_batch_size", "sgd_iterations", "workers"}
 _DERIVABLE_INT_KEYS = {"batch_size", "eval_batch_size", "max_iters", "sgd_iterations"}
@@ -386,6 +367,8 @@ _LIST_STR_KEYS = {"solvers"}
 _STR_KEYS = {"csv", "out_dir"}
 _CONFIG_KEYS = (_BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS
                 | _LIST_FLOAT_KEYS | _LIST_STR_KEYS | _STR_KEYS)
+# keys that manifests of earlier versions carry and that no longer do anything
+_RETIRED_KEYS = {"parallel_seeds"}
 
 
 def read_key_value_file(path) -> dict[str, str]:
@@ -407,12 +390,13 @@ def config_from_mapping(mapping: dict[str, str]) -> BenchConfig:
     """Build a config from string key=value pairs (file or CLI supplied).
 
     Keys outside the config schema are ignored when prefixed with
-    "resolved." or "result." (manifest echo lines); anything else unknown
-    is an error. Empty values mean "use the default / derive it".
+    "resolved." or "result." (manifest echo lines) or when retired
+    (``parallel_seeds``); anything else unknown is an error. Empty values
+    mean "use the default / derive it".
     """
     kwargs: dict[str, object] = {}
     for key, value in mapping.items():
-        if key.startswith(("resolved.", "result.")):
+        if key.startswith(("resolved.", "result.")) or key in _RETIRED_KEYS:
             continue
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
@@ -464,7 +448,7 @@ def _config_items(config: BenchConfig) -> list[tuple[str, str]]:
     ordered = ["m", "n", "csv", "intercept", "solvers", "seeds", "eps", "beta",
                "sigma", "batch_size", "eval_batch_size", "max_iters",
                "sgd_batch_size", "sgd_iterations", "sweep", "test_fraction",
-               "weight_radius", "erm_tol", "workers", "parallel_seeds", "out_dir"]
+               "weight_radius", "erm_tol", "workers", "out_dir"]
     return [(key, fmt(key, getattr(config, key))) for key in ordered]
 
 
@@ -498,21 +482,11 @@ def run_experiment(config: BenchConfig) -> ExperimentOutcome:
     summary.csv with one row per sweep configuration, manifest.txt.
     Raises InfeasibleConfigError before writing anything if the config
     cannot run (that includes eps so small the theory batch size
-    overflows the float budget while no explicit batch size is given).
+    overflows the float budget while no explicit batch size is given):
+    every seed runs before the first file is written.
     """
-    # fail fast on an infeasible derived batch before any file IO;
-    # per-seed sigma can only be known later, so probe with sigma given
-    if config.batch_size is None and config.sigma is not None:
-        _resolve_theory_batch(config.sigma, 2.0 * config.weight_radius, config.eps,
-                              config.beta, config.max_iters or 1)
-
     out_dir = Path(config.out_dir)
-    clock = not config.parallel_seeds
-    if config.parallel_seeds:
-        with ThreadPoolExecutor(max_workers=min(len(config.seeds), 8)) as pool:
-            outcomes = list(pool.map(lambda s: _run_seed(config, s, clock), config.seeds))
-    else:
-        outcomes = [_run_seed(config, seed, clock) for seed in config.seeds]
+    outcomes = [_run_seed(config, seed) for seed in config.seeds]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_paths: list[Path] = []

@@ -33,7 +33,6 @@ from .validation import SUITE_NAMES, run_suite
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument("--workers", type=int, default=None, help="minibatch worker threads")
     p.add_argument("--out-dir", default=None, help="artifact directory")
     p.add_argument("--eps", type=float, default=None, help="target accuracy")
     p.add_argument("--beta", type=float, default=None, help="allowed failure probability")
@@ -79,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--erm-tol", type=float, default=None)
     b.add_argument("--weight-radius", type=float, default=None)
     b.add_argument("--test-fraction", type=float, default=None)
-    b.add_argument("--parallel-seeds", action="store_true",
-                   help="run seeds concurrently (disables wall-time accounting)")
 
     v = sub.add_parser("validate", help="run a seeded property suite")
     _add_shared_flags(v)
@@ -118,7 +115,6 @@ def _cmd_solve(args) -> int:
         beta=args.beta if args.beta is not None else 0.1,
         sigma=sigma,
         seed=seed,
-        workers=args.workers if args.workers is not None else 1,
         batch_size=args.batch_size or None,
         max_iterations=args.max_iters or None,
     )
@@ -167,9 +163,6 @@ def _bench_config(args) -> BenchConfig:
     put("erm_tol", args.erm_tol)
     put("weight_radius", args.weight_radius)
     put("test_fraction", args.test_fraction)
-    put("workers", args.workers)
-    if args.parallel_seeds:
-        mapping["parallel_seeds"] = "true"
     put("out_dir", args.out_dir)
     return config_from_mapping(mapping)
 

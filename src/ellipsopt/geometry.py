@@ -91,15 +91,6 @@ class Ellipsoid:
         q = float(d @ np.linalg.solve(self.shape, d))
         return q <= 1.0 + rtol
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """(count, n) points drawn uniformly from the solid ellipsoid."""
-        n = self.dimension
-        g = rng.standard_normal((count, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = rng.random(count) ** (1.0 / n)
-        chol = np.linalg.cholesky(self.shape)
-        return self.center + (g * radii[:, None]) @ chol.T
-
 
 def log_det_shift(dim: int) -> float:
     """Exact change of log det(H) produced by one cut step in ``dim`` dimensions."""

@@ -6,13 +6,16 @@ probability at least 1 - beta the deviation of the batch mean stays below
 satisfies E exp(||noise||^2 / sigma^2) <= e. A vector within eta of an exact
 gradient is a delta-subgradient with delta = eta * D over a set of diameter
 D, which is what lets noisy means drive cut steps.
+
+A minibatch is one serial ``draw_block`` call on counter-keyed streams,
+reduced by a fixed pairwise tree, so its mean is a pure function of the
+point, the seed, the step and the batch size.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,27 +23,21 @@ import numpy as np
 from . import _rng
 from .geometry import FeasibleSet, Vector, _as_vector
 
-# below this batch size thread dispatch costs more than it buys
-_PARALLEL_MIN_BATCH = 4096
-
 _CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """How a minibatch is drawn: r draws under a master seed, maybe chunked."""
+    """How a minibatch is drawn: r draws under a master seed."""
 
     size: int
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("batch size must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -81,34 +78,14 @@ class StochasticGradOracle(ABC):
         return False
 
     @abstractmethod
-    def draw_block(
-        self, x, seed: int, step: int, start: int, count: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient draws (count, n) and value draws (count,) for batch
-        elements [start, start + count) of the stream keyed (seed, step)."""
+    def draw_block(self, x, seed: int, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient draws (count, n) and value draws (count,) for the first
+        ``count`` batch elements of the stream keyed (seed, step)."""
 
     @abstractmethod
-    def value_block_crn(
-        self, points: np.ndarray, seed: int, step: int, start: int, count: int
-    ) -> np.ndarray:
+    def value_block_crn(self, points: np.ndarray, seed: int, step: int, count: int) -> np.ndarray:
         """(count, k) value draws at k points sharing one noise realization
         per batch element (common random numbers down the columns)."""
-
-
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    chunks = min(workers, total)
-    size = -(-total // chunks)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _fill_blocks(fill, total: int, workers: int) -> None:
-    bounds = _chunk_bounds(total, workers)
-    if len(bounds) == 1 or total < _PARALLEL_MIN_BATCH:
-        for lo, hi in bounds:
-            fill(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        list(pool.map(lambda b: fill(*b), bounds))
 
 
 def minibatch_gradient(
@@ -116,20 +93,10 @@ def minibatch_gradient(
 ) -> GradSample:
     """Mean of ``batch.size`` oracle draws at x, reduced in a fixed pairwise order.
 
-    The result is a pure function of (x, batch.seed, batch.size, step);
-    ``batch.workers`` only parallelizes generation and cannot change it.
+    The result is a pure function of (x, batch.seed, batch.size, step).
     """
     v = _as_vector(x, oracle.dimension)
-    r = batch.size
-    grads = np.empty((r, oracle.dimension), dtype=np.float64)
-    values = np.empty(r, dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        g, f = oracle.draw_block(v, batch.seed, step, lo, hi - lo)
-        grads[lo:hi] = g
-        values[lo:hi] = f
-
-    _fill_blocks(fill, r, batch.workers)
+    grads, values = oracle.draw_block(v, batch.seed, step, batch.size)
     return GradSample(
         gradient=_rng.pairwise_mean(grads), value=float(_rng.pairwise_mean(values))
     )
@@ -146,14 +113,7 @@ def estimate_values(
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != oracle.dimension:
         raise ValueError(f"points must have width {oracle.dimension}")
-    r = batch.size
-    draws = np.empty((r, pts.shape[0]), dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        draws[lo:hi] = oracle.value_block_crn(pts, batch.seed, step, lo, hi - lo)
-
-    _fill_blocks(fill, r, batch.workers)
-    return _rng.pairwise_mean(draws)
+    return _rng.pairwise_mean(oracle.value_block_crn(pts, batch.seed, step, batch.size))
 
 
 def concentration_radius(sigma: float, batch_size: int, beta: float) -> float:
@@ -190,14 +150,14 @@ def required_batch_size(sigma: float, diameter: float, eps: float, beta_per_call
 
 
 def _eval_rows(f, rows: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar objective on (k, n) rows, vectorized when supported."""
-    try:
-        out = np.asarray(f(rows), dtype=np.float64)
-        if out.shape == (rows.shape[0],):
-            return out
-    except Exception:
-        pass
-    return np.array([float(f(row)) for row in rows], dtype=np.float64)
+    """Evaluate an objective that maps (k, n) rows to a (k,) array."""
+    out = np.asarray(f(rows), dtype=np.float64)
+    if out.shape != (rows.shape[0],):
+        raise ValueError(
+            f"objective must map rows of shape {rows.shape} to shape "
+            f"{(rows.shape[0],)}, got {out.shape}"
+        )
+    return out
 
 
 def verify_delta_subgradient(
@@ -212,7 +172,7 @@ def verify_delta_subgradient(
 ) -> DeltaCertificate:
     """Empirically check f(y) >= f(x) + <g, y - x> - delta over the set.
 
-    Probes ``trial_points`` sampled points plus the set's extreme points and
+    ``f`` maps (k, n) rows to the (k,) objective values. Probes ``trial_points`` sampled points plus the set's extreme points and
     the support points along +/- g, where the inequality is tightest.
     """
     if delta < 0:
@@ -272,20 +232,20 @@ class GaussianOracle(StochasticGradOracle):
         value, grad = self._value_grad(x)
         return float(value), _as_vector(grad, self._dim)
 
-    def draw_block(self, x, seed, step, start, count):
+    def draw_block(self, x, seed, step, count):
         value, grad = self._exact(x)
         if self.sigma == 0.0:
             return np.tile(grad, (count, 1)), np.full(count, value)
         key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
-        noise = self._noise_scale * _rng.standard_normals(key, start, count, self._dim)
+        noise = self._noise_scale * _rng.standard_normals(key, count, self._dim)
         return grad + noise, value + noise @ (x - self.anchor)
 
-    def value_block_crn(self, points, seed, step, start, count):
+    def value_block_crn(self, points, seed, step, count):
         values = np.array([self._exact(p)[0] for p in points])
         if self.sigma == 0.0:
             return np.tile(values, (count, 1))
         key = _rng.stream_key(seed, _rng.EVAL_STREAM, step)
-        noise = self._noise_scale * _rng.standard_normals(key, start, count, self._dim)
+        noise = self._noise_scale * _rng.standard_normals(key, count, self._dim)
         return values + noise @ (points - self.anchor).T
 
 
@@ -320,14 +280,14 @@ class PerturbedOracle(StochasticGradOracle):
         if self.offset_norm == 0.0:
             return np.zeros(self._dim)
         key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
-        direction = _rng.standard_normals(key, 0, 1, self._dim)[0]
+        direction = _rng.standard_normals(key, 1, self._dim)[0]
         return direction * (self.offset_norm / float(np.linalg.norm(direction)))
 
-    def draw_block(self, x, seed, step, start, count):
+    def draw_block(self, x, seed, step, count):
         value, grad = self._value_grad(x)
         grad = _as_vector(grad, self._dim) + self.offset(seed, step)
         return np.tile(grad, (count, 1)), np.full(count, float(value))
 
-    def value_block_crn(self, points, seed, step, start, count):
+    def value_block_crn(self, points, seed, step, count):
         values = np.array([float(self._value_grad(p)[0]) for p in points])
         return np.tile(values, (count, 1))

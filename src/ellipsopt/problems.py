@@ -17,12 +17,15 @@ from scipy.special import expit
 
 from . import _rng
 from .geometry import Ball, FeasibleSet, Vector, _as_vector
-from .oracles import GaussianOracle, GradSample, StochasticGradOracle
+from .oracles import GaussianOracle, StochasticGradOracle
 from .solver import SolverConfig, estimate_value_range, solve
 
 _LABEL_COLUMN = "y"
 _SYNTH_WEIGHT_NORM = 2.0
 _LABEL_REDRAWS = 8
+# sigma fit: this quantile of the per-sample deviations, times the safety factor
+_SIGMA_QUANTILE = 0.99
+_SIGMA_SAFETY = 1.5
 
 DEFAULT_WEIGHT_RADIUS = 10.0
 
@@ -78,41 +81,32 @@ def logistic_value_grad(weights, features_row, label: float) -> tuple[float, Vec
 
 
 class LogisticOracle(StochasticGradOracle):
-    """One draw = the loss/gradient of a uniformly sampled dataset row.
+    """One draw = the loss/gradient of a uniformly sampled dataset row."""
 
-    With ``enumerate_indices=True`` the oracle walks the rows cyclically
-    instead of sampling, so a batch of size m averages every row exactly
-    once and reproduces the full-data gradient.
-    """
-
-    def __init__(self, features: np.ndarray, labels: np.ndarray, *, enumerate_indices: bool = False) -> None:
+    def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
         self._X = np.asarray(features, dtype=np.float64)
         self._y = np.asarray(labels, dtype=np.float64)
-        self.enumerate_indices = enumerate_indices
         if self._X.shape[1] < 2:
             raise ValueError("oracle dimension must be >= 2")
 
-    def _rows(self, seed: int, step: int, stream: int, start: int, count: int):
-        if self.enumerate_indices:
-            idx = (start + np.arange(count)) % self._X.shape[0]
-        else:
-            key = _rng.stream_key(seed, stream, step)
-            idx = _rng.uniform_indices(key, start, count, self._X.shape[0])
+    def _rows(self, seed: int, step: int, stream: int, count: int):
+        key = _rng.stream_key(seed, stream, step)
+        idx = _rng.uniform_indices(key, count, self._X.shape[0])
         return self._X[idx], self._y[idx]
 
     @property
     def dimension(self) -> int:
         return self._X.shape[1]
 
-    def draw_block(self, x, seed, step, start, count):
-        Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, start, count)
+    def draw_block(self, x, seed, step, count):
+        Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, count)
         z = Xb @ x
         values = _softplus(z) - yb * z
         grads = (expit(z) - yb)[:, None] * Xb
         return grads, values
 
-    def value_block_crn(self, points, seed, step, start, count):
-        Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, start, count)
+    def value_block_crn(self, points, seed, step, count):
+        Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
         z = Xb @ points.T
         return _softplus(z) - yb[:, None] * z
 
@@ -168,25 +162,17 @@ class LogisticProblem:
         return fit_subgaussian_sigma(self.dataset)
 
 
-def sample_oracle(problem: LogisticProblem, weights, seed: int = 0, step: int = 0) -> GradSample:
-    """One stochastic draw: loss and gradient at a uniformly sampled row."""
-    grads, values = problem.oracle().draw_block(
-        _as_vector(weights, problem.dimension), seed, step, 0, 1
-    )
-    return GradSample(gradient=grads[0], value=float(values[0]))
-
-
-def fit_subgaussian_sigma(dataset: Dataset, quantile: float = 0.99, safety: float = 1.5) -> float:
+def fit_subgaussian_sigma(dataset: Dataset) -> float:
     """Subgaussian scale of per-sample gradient deviations at w = 0.
 
-    Takes the given quantile of ||g_i - mean g|| over the data and inflates
-    it by ``safety``; per-sample deviations are bounded by 2 max ||x_i||, so
-    the inflated quantile comfortably satisfies E exp(||.||^2/sigma^2) <= e
-    on non-degenerate data.
+    Takes the 0.99 quantile of ||g_i - mean g|| over the data and inflates
+    it by 1.5; per-sample deviations are bounded by 2 max ||x_i||, so the
+    inflated quantile comfortably satisfies E exp(||.||^2/sigma^2) <= e on
+    non-degenerate data.
     """
     grads = (0.5 - dataset.labels)[:, None] * dataset.features
     deviations = np.linalg.norm(grads - grads.mean(axis=0), axis=1)
-    scale = float(np.quantile(deviations, quantile)) * safety
+    scale = float(np.quantile(deviations, _SIGMA_QUANTILE)) * _SIGMA_SAFETY
     if scale <= 0.0:
         raise ValueError("degenerate dataset: all per-sample gradients coincide")
     return scale

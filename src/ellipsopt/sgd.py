@@ -2,7 +2,9 @@
 
 Shares the oracle, batch, trace and report machinery with the cut-based
 solver so the two produce directly comparable runs: equal seeds consume
-identical sample streams at equal (iteration, batch-element) keys.
+identical sample streams at equal (iteration, batch-element) keys. The step
+size is constant and the run reports its last iterate, scored on one fresh
+batch of ``batch_size`` draws.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FeasibleSet, Vector
+from .geometry import FeasibleSet
 from .oracles import BatchSpec, StochasticGradOracle, minibatch_gradient
 from .reporting import CUT_SGD, TERMINATION_BUDGET, IterationRecord, SolverReport
 from .solver import _select_candidates
 
-SCHEDULE_CONSTANT = "constant"
-SCHEDULE_INV_SQRT = "inv-sqrt"
-REPORT_MODES = ("best", "last", "average")
+# iterates farther than this many bounding-ball radii from the origin diverged
+_DIVERGENCE_FACTOR = 1e3
 
 
 class DivergedError(RuntimeError):
@@ -30,12 +31,7 @@ class SgdConfig:
     step_size: float
     iterations: int
     batch_size: int = 16
-    schedule: str = SCHEDULE_CONSTANT
     seed: int = 0
-    workers: int = 1
-    report: str = "best"
-    eval_batch_size: int | None = None
-    divergence_factor: float = 1e3
 
     def __post_init__(self) -> None:
         if self.step_size < 0:
@@ -44,18 +40,8 @@ class SgdConfig:
             raise ValueError("iteration count must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.schedule not in (SCHEDULE_CONSTANT, SCHEDULE_INV_SQRT):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
-        if self.report not in REPORT_MODES:
-            raise ValueError(f"report mode must be one of {REPORT_MODES}")
-        if self.eval_batch_size is not None and self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be at least 1 when given")
-        if self.divergence_factor <= 0:
-            raise ValueError("divergence factor must be positive")
 
 
 def default_step_grid(diameter: float, value_range: float) -> tuple[float, ...]:
@@ -66,26 +52,20 @@ def default_step_grid(diameter: float, value_range: float) -> tuple[float, ...]:
     return tuple(base * m for m in (0.001, 0.01, 0.1, 0.5, 1.0))
 
 
-def sgd_run(
-    oracle: StochasticGradOracle,
-    feasible_set: FeasibleSet,
-    config: SgdConfig,
-    start=None,
-) -> SolverReport:
-    """Iterate theta <- project(theta - alpha_k * minibatch gradient).
+def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SgdConfig) -> SolverReport:
+    """Iterate theta <- project(theta - alpha * minibatch gradient).
 
-    Starts from the bounding ball's center projected onto the set unless
-    ``start`` is given. The reported point follows ``config.report``: the
-    best recorded iterate by estimated objective (default, matching the cut
-    solver's semantics), the last iterate, or the average iterate.
+    Starts from the bounding ball's center projected onto the set and
+    reports the last iterate. Raises DivergedError once an iterate's norm
+    exceeds 1e3 times the bounding ball's radius.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
         raise ValueError(f"oracle dimension {oracle.dimension} does not match the set's {n}")
     ball = feasible_set.bounding_ball
-    theta = feasible_set.project(ball.center if start is None else np.asarray(start, dtype=np.float64))
-    guard = config.divergence_factor * ball.radius
-    batch = BatchSpec(size=config.batch_size, seed=config.seed, workers=config.workers)
+    theta = feasible_set.project(ball.center)
+    guard = _DIVERGENCE_FACTOR * ball.radius
+    batch = BatchSpec(size=config.batch_size, seed=config.seed)
 
     records: list[IterationRecord] = []
     for k in range(config.iterations):
@@ -97,28 +77,15 @@ def sgd_run(
         records.append(
             IterationRecord(k, theta, True, sample.gradient, CUT_SGD, sample.value, None)
         )
-        alpha = config.step_size
-        if config.schedule == SCHEDULE_INV_SQRT:
-            alpha = config.step_size / np.sqrt(k + 1.0)
-        theta = feasible_set.project(theta - alpha * sample.gradient)
+        theta = feasible_set.project(theta - config.step_size * sample.gradient)
 
-    eval_size = config.eval_batch_size if config.eval_batch_size is not None else config.batch_size
-    eval_batch = BatchSpec(size=eval_size, seed=config.seed, workers=config.workers)
-    if config.report == "best":
-        candidates = [(r.index, r.center, r.f_estimate) for r in records]
-        candidates.append((len(records), theta, None))
-    elif config.report == "last":
-        candidates = [(len(records), theta, None)]
-    else:
-        visited = np.vstack([r.center for r in records] + [theta])
-        candidates = [(len(records), visited.mean(axis=0), None)]
-    _, point, estimate, eval_draws = _select_candidates(candidates, oracle, eval_batch)
+    _, point, estimate, eval_draws = _select_candidates([(len(records), theta, None)], oracle, batch)
     return SolverReport(
         best_point=point,
         best_estimate=estimate,
         iterations=len(records),
         batch_size=config.batch_size,
-        eval_batch_size=eval_size,
+        eval_batch_size=config.batch_size,
         records=tuple(records),
         termination=TERMINATION_BUDGET,
         grad_draws=len(records) * config.batch_size,

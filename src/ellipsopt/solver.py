@@ -9,7 +9,8 @@ competes in a fresh shared-noise evaluation, and the best one is returned.
 For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
 the batch size chosen so each gradient estimate is an (eps/2)-subgradient
-with per-call failure probability beta / (2 N).
+with per-call failure probability beta / (2 N). ``resolve_plan`` fixes B, N
+and the batch sizes before the first step.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ from .reporting import (
 _SELECTION_STEP = 0
 _RANGE_PROBE_STEP = 1
 
+# range probe: feasible points sampled, draws per point for noisy oracles,
+# and the factor the observed spread is inflated by
+_PROBE_POINTS = 100
+_PROBE_BATCH = 64
+_PROBE_SAFETY = 2.0
+
+# a batch gradient shorter than this fraction of B / D ends the run
+_ZERO_GRAD_RTOL = 1e-12
+
 
 class NoFeasiblePointError(RuntimeError):
     """Raised when a run never visits a feasible center."""
@@ -58,12 +68,13 @@ class NoFeasiblePointError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters; geometry fields default to the feasible set's values.
+    """Run parameters; fields left None are derived by ``resolve_plan``.
 
     ``value_range`` (the objective's max-min spread B) is estimated by
     sampling when not supplied. ``certificate_stop`` enables an early stop for
     noiseless oracles once the exact-gradient gap bound certifies the target;
-    it must stay None for noisy runs.
+    it must stay None for noisy runs. ``workers`` has no effect; it is kept
+    so that existing callers and saved configs still load.
     """
 
     eps: float = 0.05
@@ -75,10 +86,6 @@ class SolverConfig:
     eval_batch_size: int | None = None
     max_iterations: int | None = None
     value_range: float | None = None
-    diameter: float | None = None
-    inner_radius: float | None = None
-    radius: float | None = None
-    zero_grad_rtol: float = 1e-12
     certificate_stop: float | None = None
 
     def __post_init__(self) -> None:
@@ -96,10 +103,21 @@ class SolverConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be at least 1 when given")
-        for name in ("value_range", "diameter", "inner_radius", "radius"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when given")
+        if self.value_range is not None and self.value_range <= 0:
+            raise ValueError("value_range must be positive when given")
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What a run fixes before its first step."""
+
+    value_range: float
+    iterations: int
+    batch_size: int
+    eval_batch_size: int
+    # the batch size the guarantee asks for; None when it exceeds 2^53
+    theory_batch_size: int | None
+    zero_tol: float
 
 
 def iteration_budget(dim: int, diameter: float, value_range: float, inner_radius: float, eps: float) -> int:
@@ -140,17 +158,57 @@ def estimate_value_range(
     feasible_set: FeasibleSet,
     *,
     seed: int = 0,
-    sample_count: int = 100,
-    batch_size: int = 64,
     workers: int = 1,
-    safety: float = 2.0,
 ) -> float:
-    """Estimate the objective spread B by probing random feasible points."""
+    """Estimate the objective spread B by probing random feasible points.
+
+    ``workers`` has no effect; it is kept so that existing callers still run.
+    """
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _rng.PROBE_STREAM)))
-    points = feasible_set.sample(sample_count, rng)
-    batch = BatchSpec(size=1 if oracle.is_deterministic else batch_size, seed=seed, workers=workers)
+    points = feasible_set.sample(_PROBE_POINTS, rng)
+    batch = BatchSpec(size=1 if oracle.is_deterministic else _PROBE_BATCH, seed=seed)
     values = estimate_values(oracle, points, batch, step=_RANGE_PROBE_STEP)
-    return safety * float(values.max() - values.min())
+    return _PROBE_SAFETY * float(values.max() - values.min())
+
+
+def resolve_plan(
+    oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig
+) -> Plan:
+    """B, N, the batch sizes and the zero-gradient tolerance of one run.
+
+    Fields given in the config win. Otherwise B comes from the seeded range
+    probe, N from ``iteration_budget`` and the batch size from
+    ``required_batch_size`` at the per-call failure probability
+    beta / (2 max(N, 1)). Raises ValueError when the batch size must be
+    derived but exceeds 2^53.
+    """
+    diameter = feasible_set.diameter
+    value_range = config.value_range
+    if value_range is None:
+        value_range = estimate_value_range(oracle, feasible_set, seed=config.seed)
+    iterations = config.max_iterations
+    if iterations is None:
+        iterations = iteration_budget(
+            feasible_set.dimension, diameter, value_range, feasible_set.inner_radius, config.eps
+        )
+    per_call_beta = config.beta / (2.0 * max(iterations, 1))
+    try:
+        theory_batch = required_batch_size(config.sigma, diameter, config.eps, per_call_beta)
+    except ValueError:
+        if config.batch_size is None:
+            raise
+        theory_batch = None
+    batch_size = config.batch_size if config.batch_size is not None else theory_batch
+    return Plan(
+        value_range=value_range,
+        iterations=iterations,
+        batch_size=batch_size,
+        eval_batch_size=config.eval_batch_size if config.eval_batch_size is not None else batch_size,
+        theory_batch_size=theory_batch,
+        zero_tol=_ZERO_GRAD_RTOL * value_range / diameter,
+    )
 
 
 def _select_candidates(
@@ -172,7 +230,7 @@ def _select_candidates(
         missing = [c for c in candidates if c[2] is None]
         if missing:
             points = np.vstack([c[1] for c in missing])
-            filled = estimate_values(oracle, points, BatchSpec(1, eval_batch.seed, eval_batch.workers), step=_SELECTION_STEP)
+            filled = estimate_values(oracle, points, BatchSpec(1, eval_batch.seed), step=_SELECTION_STEP)
             known += [(idx, pt, float(v)) for (idx, pt, _), v in zip(missing, filled)]
         known.sort(key=lambda c: (c[2], c[0]))
         idx, point, value = known[0]
@@ -184,74 +242,41 @@ def _select_candidates(
     return candidates[order][0], candidates[order][1], float(values[order]), draws
 
 
-def best_point_selection(
-    records, oracle: StochasticGradOracle, eval_batch: BatchSpec
-) -> tuple[int, Vector, float]:
-    """Re-evaluate every feasible recorded center and return the winner.
-
-    Returns (iteration index, center, estimated value). Raises
-    NoFeasiblePointError when the trace holds no feasible record.
-    """
-    candidates = [(r.index, r.center, r.f_estimate) for r in records if r.feasible]
-    idx, point, value, _ = _select_candidates(candidates, oracle, eval_batch)
-    return idx, point, value
-
-
 def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig) -> SolverReport:
     """Run the cut loop and return the best feasible center found.
 
-    Iterations, batch size and the zero-gradient tolerance resolve from the
-    config and the set's geometry; see SolverConfig. The trace records every
-    iteration's center, branch, estimate and log det of the ellipsoid shape.
+    The run follows ``resolve_plan(oracle, feasible_set, config)``. The trace
+    records every iteration's center, branch, estimate and log det of the
+    ellipsoid shape.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
         raise ValueError(
             f"oracle dimension {oracle.dimension} does not match the set's {n}"
         )
-    ball = feasible_set.bounding_ball
-    radius = config.radius if config.radius is not None else ball.radius
-    diameter = config.diameter if config.diameter is not None else feasible_set.diameter
-    inner_radius = config.inner_radius if config.inner_radius is not None else feasible_set.inner_radius
-    value_range = config.value_range
-    if value_range is None:
-        value_range = estimate_value_range(
-            oracle, feasible_set, seed=config.seed, workers=config.workers
-        )
-    budget = config.max_iterations
-    if budget is None:
-        budget = iteration_budget(n, diameter, value_range, inner_radius, config.eps)
-    batch_size = config.batch_size
-    if batch_size is None:
-        if config.sigma == 0.0:
-            batch_size = 1
-        else:
-            per_call_beta = config.beta / (2.0 * max(budget, 1))
-            batch_size = required_batch_size(config.sigma, diameter, config.eps, per_call_beta)
-    eval_batch_size = config.eval_batch_size if config.eval_batch_size is not None else batch_size
-    zero_tol = config.zero_grad_rtol * value_range / diameter
     if config.certificate_stop is not None and not oracle.is_deterministic:
         raise ValueError("certificate_stop requires a deterministic oracle")
-
-    batch = BatchSpec(size=batch_size, seed=config.seed, workers=config.workers)
-    eval_batch = BatchSpec(size=eval_batch_size, seed=config.seed, workers=config.workers)
-    ellipsoid = Ellipsoid(ball.center, radius * radius * np.eye(n))
+    plan = resolve_plan(oracle, feasible_set, config)
+    batch = BatchSpec(size=plan.batch_size, seed=config.seed)
+    eval_batch = BatchSpec(size=plan.eval_batch_size, seed=config.seed)
+    ball = feasible_set.bounding_ball
+    ellipsoid = Ellipsoid(ball.center, ball.radius * ball.radius * np.eye(n))
 
     records: list[IterationRecord] = []
     termination = TERMINATION_BUDGET
     zero_grad_exit: tuple[Vector, float] | None = None
     grad_draws = 0
 
-    for k in range(budget):
+    for k in range(plan.iterations):
         center = ellipsoid.center
         feasible = feasible_set.contains(center)
         log_det = ellipsoid.log_det_shape()
         if feasible:
             sample = minibatch_gradient(oracle, center, batch, step=k)
-            grad_draws += batch_size
+            grad_draws += plan.batch_size
             cut = sample.gradient
             estimate = sample.value
-            if float(np.linalg.norm(cut)) <= zero_tol:
+            if float(np.linalg.norm(cut)) <= plan.zero_tol:
                 records.append(
                     IterationRecord(k, center, True, cut, CUT_ZERO_GRAD, estimate, log_det)
                 )
@@ -279,29 +304,20 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
 
     if zero_grad_exit is not None:
         point, estimate = zero_grad_exit
-        return SolverReport(
-            best_point=point,
-            best_estimate=estimate,
-            iterations=len(records),
-            batch_size=batch_size,
-            eval_batch_size=eval_batch_size,
-            records=tuple(records),
-            termination=termination,
-            grad_draws=grad_draws,
-        )
-
-    candidates = [(r.index, r.center, r.f_estimate) for r in records if r.feasible]
-    final_center = ellipsoid.center
-    if feasible_set.contains(final_center):
-        # the last update's center competes too, even without an oracle call
-        candidates.append((len(records), final_center, None))
-    _, point, estimate, eval_draws = _select_candidates(candidates, oracle, eval_batch)
+        eval_draws = 0
+    else:
+        candidates = [(r.index, r.center, r.f_estimate) for r in records if r.feasible]
+        final_center = ellipsoid.center
+        if feasible_set.contains(final_center):
+            # the last update's center competes too, even without an oracle call
+            candidates.append((len(records), final_center, None))
+        _, point, estimate, eval_draws = _select_candidates(candidates, oracle, eval_batch)
     return SolverReport(
         best_point=point,
         best_estimate=estimate,
         iterations=len(records),
-        batch_size=batch_size,
-        eval_batch_size=eval_batch_size,
+        batch_size=plan.batch_size,
+        eval_batch_size=plan.eval_batch_size,
         records=tuple(records),
         termination=termination,
         grad_draws=grad_draws,

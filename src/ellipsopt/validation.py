@@ -18,7 +18,7 @@ from . import _rng
 from .geometry import Ball, Box, Ellipsoid, ellipsoid_step, shape_det_ratio
 from .oracles import GaussianOracle, PerturbedOracle, concentration_radius
 from .problems import LogisticProblem, QuadraticProblem, LinearProblem, generate_synthetic
-from .solver import SolverConfig, iteration_budget, solve, theoretical_gap
+from .solver import SolverConfig, solve, theoretical_gap
 
 SUITE_NAMES = ("volume", "containment", "concentration", "theorem1", "theorem2", "gradcheck")
 
@@ -128,7 +128,7 @@ def check_concentration(trials: int = 10_000, batch_sizes: tuple[int, ...] = (10
     oracle = GaussianOracle(flat, dim, sigma=sigma)
     worst_ratio = 0.0
     for r in batch_sizes:
-        grads, _ = oracle.draw_block(np.zeros(dim), seed, 0, 0, trials * r)
+        grads, _ = oracle.draw_block(np.zeros(dim), seed, 0, trials * r)
         means = grads.reshape(trials, r, dim).mean(axis=1)
         norms = np.linalg.norm(means, axis=1)
         for beta in betas:

@@ -50,7 +50,7 @@ def _row(solver, crossings, step=0.1, final=0.5, report="stub"):
         crossings=crossings,
         oracle_calls=480,
         eval_calls=0,
-        wall_time_s=None,
+        wall_time_s=0.0,
         final_test_loss=final,
         report=report,
     )
@@ -343,14 +343,19 @@ class TestRunExperiment:
         assert train_rows == 1 + 1 + len(config.sweep)
         assert oc.sigma > 0.0
 
-    def test_parallel_seed_execution_matches_serial(self, tmp_path):
-        serial = run_experiment(_small_config(tmp_path / "serial", seeds=(0, 1)))
-        parallel = run_experiment(
-            _small_config(tmp_path / "parallel", seeds=(0, 1), parallel_seeds=True)
-        )
-        for seed in (0, 1):
-            for name in (f"ellipsoid-seed{seed}.csv", f"sgd-seed{seed}.csv"):
-                assert (tmp_path / "serial" / name).read_bytes() == (
-                    tmp_path / "parallel" / name
-                ).read_bytes()
-        assert parallel.seed_outcomes[0].rows[0].wall_time_s is None
+    def test_manifest_with_a_retired_parallel_seeds_line_reruns_identically(self, tmp_path):
+        first = run_experiment(_small_config(tmp_path / "first", seeds=(0,)))
+        text = first.manifest_path.read_text(encoding="utf-8")
+        assert "parallel_seeds" not in text
+        # manifests written before the key was retired carry this line
+        old = tmp_path / "old-manifest.txt"
+        old.write_text(text.replace("workers=1\n", "workers=1\nparallel_seeds=false\n"),
+                       encoding="utf-8")
+        mapping = read_key_value_file(old)
+        assert mapping["parallel_seeds"] == "false"
+        mapping["out_dir"] = str(tmp_path / "second")
+        run_experiment(config_from_mapping(mapping))
+        for name in ("ellipsoid-seed0.csv", "sgd-seed0.csv"):
+            assert (tmp_path / "second" / name).read_bytes() == (
+                tmp_path / "first" / name
+            ).read_bytes()

@@ -18,7 +18,6 @@ from ellipsopt.problems import (
     generate_synthetic,
     load_dataset_csv,
     logistic_value_grad,
-    sample_oracle,
     save_dataset_csv,
     split_train_test,
 )
@@ -129,49 +128,18 @@ class TestLogisticOracle:
         problem = _toy_problem()
         oracle = problem.oracle()
         w = np.array([0.1, 0.2, 0.3, 0.4])
-        g1, v1 = oracle.draw_block(w, seed=11, step=2, start=0, count=8)
-        g2, v2 = oracle.draw_block(w, seed=11, step=2, start=0, count=8)
+        g1, v1 = oracle.draw_block(w, seed=11, step=2, count=8)
+        g2, v2 = oracle.draw_block(w, seed=11, step=2, count=8)
         np.testing.assert_array_equal(g1, g2)
         np.testing.assert_array_equal(v1, v2)
-        g3, _ = oracle.draw_block(w, seed=12, step=2, start=0, count=8)
+        g3, _ = oracle.draw_block(w, seed=12, step=2, count=8)
         assert not np.array_equal(g1, g3)
-
-    def test_chunked_draws_match_one_big_draw(self):
-        problem = _toy_problem()
-        oracle = problem.oracle()
-        w = np.array([0.1, -0.2, 0.0, 0.4])
-        g_all, v_all = oracle.draw_block(w, seed=5, step=9, start=0, count=24)
-        g_a, v_a = oracle.draw_block(w, seed=5, step=9, start=0, count=10)
-        g_b, v_b = oracle.draw_block(w, seed=5, step=9, start=10, count=14)
-        np.testing.assert_array_equal(np.vstack([g_a, g_b]), g_all)
-        np.testing.assert_array_equal(np.concatenate([v_a, v_b]), v_all)
-
-    def test_enumeration_reproduces_full_gradient(self):
-        problem = _toy_problem(m=60)
-        ds = problem.dataset
-        oracle = LogisticOracle(ds.features, ds.labels, enumerate_indices=True)
-        w = np.array([0.4, -0.1, 0.2, -0.3])
-        grads, values = oracle.draw_block(w, seed=0, step=0, start=0, count=ds.size)
-        np.testing.assert_allclose(grads.mean(axis=0), problem.gradient(w), atol=1e-13)
-        assert values.mean() == pytest.approx(problem.objective(w), abs=1e-13)
-
-    def test_enumeration_is_chunk_invariant_and_cyclic(self):
-        problem = _toy_problem(m=30)
-        ds = problem.dataset
-        oracle = LogisticOracle(ds.features, ds.labels, enumerate_indices=True)
-        w = np.zeros(4)
-        g_all, _ = oracle.draw_block(w, seed=1, step=1, start=0, count=30)
-        g_a, _ = oracle.draw_block(w, seed=1, step=1, start=0, count=13)
-        g_b, _ = oracle.draw_block(w, seed=1, step=1, start=13, count=17)
-        np.testing.assert_array_equal(np.vstack([g_a, g_b]), g_all)
-        g_wrap, _ = oracle.draw_block(w, seed=1, step=1, start=30, count=5)
-        np.testing.assert_array_equal(g_wrap, g_all[:5])
 
     def test_value_block_shape_for_several_points(self):
         problem = _toy_problem()
         oracle = problem.oracle()
         points = np.zeros((3, 4))
-        block = oracle.value_block_crn(points, seed=2, step=0, start=0, count=7)
+        block = oracle.value_block_crn(points, seed=2, step=0, count=7)
         assert block.shape == (7, 3)
         np.testing.assert_allclose(block, math.log(2.0), atol=1e-14)
 
@@ -182,22 +150,23 @@ class TestLogisticOracle:
 
 def test_sample_oracle_replays_and_draws_real_rows():
     problem = _toy_problem(m=6)
+    oracle = problem.oracle()
     w = np.array([0.3, 0.1, -0.2, 0.0])
-    first = sample_oracle(problem, w, seed=4, step=9)
-    again = sample_oracle(problem, w, seed=4, step=9)
-    np.testing.assert_array_equal(first.gradient, again.gradient)
-    assert first.value == again.value
+    first = oracle.draw_block(w, seed=4, step=9, count=1)
+    again = oracle.draw_block(w, seed=4, step=9, count=1)
+    np.testing.assert_array_equal(first[0], again[0])
+    np.testing.assert_array_equal(first[1], again[1])
     row_pairs = [
         logistic_value_grad(w, problem.dataset.features[i], problem.dataset.labels[i])
         for i in range(problem.dataset.size)
     ]
-    for step in range(20):
-        sample = sample_oracle(problem, w, seed=0, step=step)
-        assert any(
-            math.isclose(sample.value, v, rel_tol=1e-12)
-            and np.allclose(sample.gradient, g, atol=1e-12)
-            for v, g in row_pairs
-        )
+    for step in range(4):
+        grads, values = oracle.draw_block(w, seed=0, step=step, count=5)
+        for grad, value in zip(grads, values):
+            assert any(
+                math.isclose(value, v, rel_tol=1e-12) and np.allclose(grad, g, atol=1e-12)
+                for v, g in row_pairs
+            )
 
 
 class TestFitSubgaussianSigma:

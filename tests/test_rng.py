@@ -18,18 +18,10 @@ def test_stream_key_rejects_negative():
         _rng.stream_key(-1, 0, 0)
 
 
-def test_element_blocks_are_position_stable():
-    # element l must see the same raw lanes no matter which call covers it
-    key = _rng.stream_key(0, _rng.GRAD_STREAM, 0)
-    whole = _rng.raw_lanes(key, 0, 64, 3)
-    part = _rng.raw_lanes(key, 17, 5, 3)
-    assert np.array_equal(part, whole[17:22])
-
-
 def test_normals_are_deterministic_and_standard():
     key = _rng.stream_key(9, _rng.GRAD_STREAM, 2)
-    a = _rng.standard_normals(key, 0, 20000, 2)
-    b = _rng.standard_normals(key, 0, 20000, 2)
+    a = _rng.standard_normals(key, 20000, 2)
+    b = _rng.standard_normals(key, 20000, 2)
     assert np.array_equal(a, b)
     flat = a.ravel()
     assert abs(flat.mean()) < 0.02
@@ -38,13 +30,12 @@ def test_normals_are_deterministic_and_standard():
 
 def test_uniform_indices_bounds_and_determinism():
     key = _rng.stream_key(1, _rng.DATA_STREAM, 0)
-    idx = _rng.uniform_indices(key, 0, 50000, 37)
+    idx = _rng.uniform_indices(key, 50000, 37)
     assert idx.min() >= 0 and idx.max() < 37
     # roughly uniform occupancy
     counts = np.bincount(idx, minlength=37)
     assert counts.min() > 50000 / 37 * 0.8
-    again = _rng.uniform_indices(key, 100, 200, 37)
-    assert np.array_equal(again, idx[100:300])
+    assert np.array_equal(_rng.uniform_indices(key, 50000, 37), idx)
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,8 +54,7 @@ def test_pairwise_sum_is_chunking_invariant(size, seed):
                 np.vstack([_rng.pairwise_sum(rows[:cut])[None, :], _rng.pairwise_sum(rows[cut:])[None, :]])
             )
             # identical only when the cut aligns with the tree boundary;
-            # the guaranteed invariant is the mean over the oracle path,
-            # checked end to end in test_oracles
+            # the oracle path's bits are pinned in test_oracles
             assert np.allclose(merged, total, rtol=1e-12, atol=1e-12)
     assert _rng.pairwise_mean(rows) == pytest.approx(total / size, rel=1e-15, abs=1e-300)
 

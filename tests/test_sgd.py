@@ -12,12 +12,13 @@ def exact_oracle(problem, dim):
 
 
 def test_single_step_matches_hand_computation():
-    # theta1 = project(theta0 - alpha * grad), grad of ||x||^2 at (1,1) is (2,2)
-    ball = Ball(np.zeros(2), 10.0)
+    # theta1 = project(theta0 - alpha * grad), grad of ||x||^2 at (1,1) is (2,2);
+    # the run starts at the ball's center (1,1)
+    ball = Ball(np.ones(2), 10.0)
     problem = QuadraticProblem(np.zeros(2), ball)
     oracle = exact_oracle(problem, 2)
-    config = SgdConfig(step_size=0.4, iterations=1, batch_size=1, seed=0, report="last")
-    report = sgd_run(oracle, ball, config, start=np.array([1.0, 1.0]))
+    config = SgdConfig(step_size=0.4, iterations=1, batch_size=1, seed=0)
+    report = sgd_run(oracle, ball, config)
     assert np.allclose(report.best_point, [0.2, 0.2], atol=1e-12)
 
 
@@ -25,7 +26,7 @@ def test_projection_keeps_iterates_feasible():
     ball = Ball(np.zeros(2), 0.5)
     problem = QuadraticProblem(np.array([5.0, 0.0]), ball)  # pulls outward
     oracle = exact_oracle(problem, 2)
-    config = SgdConfig(step_size=0.3, iterations=50, batch_size=1, seed=0, report="last")
+    config = SgdConfig(step_size=0.3, iterations=50, batch_size=1, seed=0)
     report = sgd_run(oracle, ball, config)
     for rec in report.records:
         assert np.linalg.norm(rec.center) <= 0.5 * (1 + 1e-9)
@@ -42,57 +43,27 @@ def test_divergence_guard_raises():
         def project(self, x):  # leave iterates unprojected to let them blow up
             return np.asarray(x, dtype=np.float64)
 
-    s = NoProject(np.zeros(2), 1.0)
+    # the run starts at the center (0.1, 0), where the push is nonzero
+    s = NoProject(np.array([0.1, 0.0]), 1.0)
     oracle = GaussianOracle(runaway, 2, sigma=0.0)
-    with pytest.raises(DivergedError):
-        sgd_run(oracle, s, SgdConfig(step_size=1.0, iterations=50, batch_size=1, seed=0),
-                start=np.array([0.1, 0.0]))
+    with pytest.raises(DivergedError, match="exceeded 1.000e\\+03"):
+        sgd_run(oracle, s, SgdConfig(step_size=1.0, iterations=50, batch_size=1, seed=0))
 
 
-def test_inv_sqrt_schedule_shrinks_steps():
-    ball = Ball(np.zeros(2), 1.0)
-    problem = QuadraticProblem(np.array([0.6, 0.0]), ball)
-    oracle = exact_oracle(problem, 2)
-    const = sgd_run(oracle, ball, SgdConfig(step_size=0.4, iterations=30, batch_size=1,
-                                            seed=0, schedule="constant", report="last"))
-    decay = sgd_run(oracle, ball, SgdConfig(step_size=0.4, iterations=30, batch_size=1,
-                                            seed=0, schedule="inv-sqrt", report="last"))
-    # first move identical, later moves strictly smaller under the decay
-    d_const = np.linalg.norm(const.records[1].center - const.records[0].center)
-    d_decay = np.linalg.norm(decay.records[1].center - decay.records[0].center)
-    assert d_const == pytest.approx(d_decay, rel=1e-12)
-    tail_const = np.linalg.norm(const.records[-1].center - const.records[-2].center)
-    tail_decay = np.linalg.norm(decay.records[-1].center - decay.records[-2].center)
-    assert tail_decay < tail_const or tail_const == 0.0
-
-
-def test_report_modes_differ_and_are_deterministic():
+def test_reports_the_last_iterate_deterministically():
     ball = Ball(np.zeros(2), 1.0)
     problem = QuadraticProblem(np.array([0.4, 0.3]), ball)
     oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.3)
-    runs = {}
-    for mode in ("best", "last", "average"):
-        a = sgd_run(oracle, ball, SgdConfig(step_size=0.1, iterations=40, batch_size=8,
-                                            seed=5, report=mode))
-        b = sgd_run(oracle, ball, SgdConfig(step_size=0.1, iterations=40, batch_size=8,
-                                            seed=5, report=mode))
-        assert np.array_equal(a.best_point, b.best_point)
-        runs[mode] = a
-    assert runs["best"].best_estimate <= runs["last"].best_estimate + 1e-9
-
-
-def test_worker_count_does_not_change_the_run():
-    ball = Ball(np.zeros(3), 1.0)
-    problem = QuadraticProblem(np.array([0.2, -0.1, 0.4]), ball)
-    oracle = GaussianOracle(problem.objective_and_gradient, 3, sigma=0.5)
-    one = sgd_run(oracle, ball, SgdConfig(step_size=0.05, iterations=25, batch_size=64,
-                                          seed=2, workers=1, report="last"))
-    four = sgd_run(oracle, ball, SgdConfig(step_size=0.05, iterations=25, batch_size=64,
-                                           seed=2, workers=4, report="last"))
-    assert np.array_equal(one.best_point, four.best_point)
-    for ra, rb in zip(one.records, four.records):
-        assert np.array_equal(ra.center, rb.center)
-        assert ra.f_estimate == rb.f_estimate
+    config = SgdConfig(step_size=0.1, iterations=40, batch_size=8, seed=5)
+    a = sgd_run(oracle, ball, config)
+    b = sgd_run(oracle, ball, config)
+    assert np.array_equal(a.best_point, b.best_point)
+    assert a.best_estimate == b.best_estimate
+    # the reported point is the step after the last recorded iterate,
+    # scored on one fresh batch of batch_size draws
+    last = a.records[-1]
+    assert np.array_equal(a.best_point, ball.project(last.center - 0.1 * last.cut))
+    assert a.eval_batch_size == 8 and a.eval_draws == 8
 
 
 def test_default_step_grid_values():
@@ -108,6 +79,6 @@ def test_sgd_config_validation():
     with pytest.raises(ValueError):
         SgdConfig(step_size=0.1, iterations=0)
     with pytest.raises(ValueError):
-        SgdConfig(step_size=0.1, iterations=10, schedule="linear")
+        SgdConfig(step_size=0.1, iterations=10, batch_size=0)
     with pytest.raises(ValueError):
-        SgdConfig(step_size=0.1, iterations=10, report="median")
+        SgdConfig(step_size=0.1, iterations=10, seed=-1)

@@ -17,9 +17,10 @@ from ellipsopt.reporting import (
 from ellipsopt.solver import (
     NoFeasiblePointError,
     SolverConfig,
-    best_point_selection,
+    _select_candidates,
     estimate_value_range,
     iteration_budget,
+    resolve_plan,
     solve,
     theoretical_gap,
 )
@@ -148,26 +149,66 @@ def test_max_iterations_zero_budget_raises_no_feasible():
 
 
 def test_best_point_selection_requires_feasible_records():
+    # a set no center ever lies in: every step is a separation cut, and the
+    # final center is infeasible too, so nothing can be returned
+    class Unreachable(Ball):
+        def contains(self, x):
+            return False
+
+        def separation_hyperplane(self, x):
+            return np.array([1.0, 0.0])
+
     oracle = GaussianOracle(lambda x: (0.0, np.zeros(2)), 2, sigma=0.0)
+    config = SolverConfig(sigma=0.0, max_iterations=3, value_range=1.0)
     with pytest.raises(NoFeasiblePointError):
-        best_point_selection([], oracle, BatchSpec(size=1, seed=0))
+        solve(oracle, Unreachable(np.zeros(2), 1.0), config)
 
 
 def test_selection_prefers_lowest_estimate_then_lowest_index():
     ball = Ball(np.zeros(2), 2.0)
     problem = QuadraticProblem(np.array([1.0, 0.0]), ball)
-    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
+    exact = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
+    candidates = [(2, np.array([1.0, 0.0]), 0.0), (0, np.zeros(2), 1.0),
+                  (1, np.array([1.0, 0.0]), 0.0)]
+    idx, point, value, draws = _select_candidates(candidates, exact, BatchSpec(size=1, seed=0))
+    assert (idx, value, draws) == (1, 0.0, 0)
+    # noisy oracles re-estimate every candidate on one shared batch: equal
+    # points get equal estimates, and the lower index wins the tie
+    noisy = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.5)
+    idx, point, value, draws = _select_candidates(candidates, noisy, BatchSpec(size=64, seed=0))
+    assert idx == 1
+    assert np.array_equal(point, [1.0, 0.0])
+    assert draws == 3 * 64
 
-    class Rec:
-        def __init__(self, index, center, value):
-            self.index = index
-            self.center = np.asarray(center, dtype=np.float64)
-            self.feasible = True
-            self.f_estimate = value
 
-    records = [Rec(0, [0.0, 0.0], 1.0), Rec(1, [1.0, 0.0], 0.0), Rec(2, [1.0, 0.0], 0.0)]
-    idx, point, value = best_point_selection(records, oracle, BatchSpec(size=1, seed=0))
-    assert idx == 1 and value == 0.0
+def test_resolve_plan_derives_what_the_config_leaves_open():
+    ball = Ball(np.zeros(2), 1.0)
+    problem = QuadraticProblem(np.array([0.3, 0.2]), ball)
+    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.25)
+    config = SolverConfig(eps=0.05, beta=0.2, sigma=0.25, seed=7)
+    plan = resolve_plan(oracle, ball, config)
+    assert plan.value_range == estimate_value_range(oracle, ball, seed=7)
+    assert plan.iterations == iteration_budget(2, 2.0, plan.value_range, 1.0, 0.05)
+    assert plan.batch_size == plan.eval_batch_size == plan.theory_batch_size > 1000
+    assert plan.zero_tol == pytest.approx(1e-12 * plan.value_range / 2.0, rel=1e-15)
+    report = solve(oracle, ball, config)
+    assert report.batch_size == plan.batch_size
+    assert report.iterations <= plan.iterations
+
+    given = resolve_plan(oracle, ball, SolverConfig(
+        eps=0.05, sigma=0.25, batch_size=32, eval_batch_size=8, max_iterations=5, value_range=3.0))
+    assert (given.value_range, given.iterations, given.batch_size, given.eval_batch_size) == (3.0, 5, 32, 8)
+
+
+def test_resolve_plan_overflowing_theory_batch():
+    ball = Ball(np.zeros(2), 1.0)
+    oracle = GaussianOracle(lambda x: (0.0, np.zeros(2)), 2, sigma=1.0)
+    tiny = dict(eps=1e-250, sigma=1.0, max_iterations=5, value_range=1.0)
+    with pytest.raises(ValueError, match="2\\^53"):
+        resolve_plan(oracle, ball, SolverConfig(**tiny))
+    plan = resolve_plan(oracle, ball, SolverConfig(batch_size=16, **tiny))
+    assert plan.batch_size == 16
+    assert plan.theory_batch_size is None
 
 
 def test_estimate_value_range_covers_true_spread():
