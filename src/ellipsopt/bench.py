@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import linear_optimality_gap
 from .problems import (
     LogisticProblem,
     erm_reference,
@@ -143,6 +144,8 @@ class RunRow:
 class SeedOutcome:
     seed: int
     f_star_train: float
+    # exact-gradient linear optimality gap at the ERM point
+    f_star_gap: float
     f_star_test: float
     sigma: float
     value_range: float
@@ -241,6 +244,7 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
     outcome = SeedOutcome(
         seed=seed,
         f_star_train=f_star_train,
+        f_star_gap=linear_optimality_gap(ball, w_star, problem.gradient(w_star)),
         f_star_test=f_star_test,
         sigma=sigma,
         value_range=plan.value_range,
@@ -466,6 +470,7 @@ def render_manifest(config: BenchConfig, outcomes: list[SeedOutcome], ordering_o
         lines.append(f"{p}.theory_batch_size={theory}")
         lines.append(f"{p}.sweep={','.join(format_float(a) for a in oc.sweep)}")
         lines.append(f"{p}.f_star_train={format_float(oc.f_star_train)}")
+        lines.append(f"{p}.f_star_gap={format_float(oc.f_star_gap)}")
         lines.append(f"{p}.f_star_test={format_float(oc.f_star_test)}")
         if oc.ordering_ok is not None:
             lines.append(f"result.seed{oc.seed}.ordering_ok={'true' if oc.ordering_ok else 'false'}")

@@ -16,8 +16,9 @@ import numpy as np
 from scipy.special import expit
 
 from . import _rng
-from .geometry import Ball, FeasibleSet, Vector, _as_vector
+from .geometry import Ball, FeasibleSet, Vector, _as_vector, linear_optimality_gap
 from .oracles import GaussianOracle, StochasticGradOracle
+from .reporting import TERMINATION_CERTIFIED
 from .solver import SolverConfig, estimate_value_range, solve
 
 _LABEL_COLUMN = "y"
@@ -26,6 +27,13 @@ _LABEL_REDRAWS = 8
 # sigma fit: this quantile of the per-sample deviations, times the safety factor
 _SIGMA_QUANTILE = 0.99
 _SIGMA_SAFETY = 1.5
+# damped Newton ERM reference: Newton steps before falling back to the cut
+# solver, and the Armijo sufficient-decrease fraction, shrink factor and
+# shrink cap of its backtracking line search
+_NEWTON_MAX_STEPS = 50
+_ARMIJO_FRACTION = 1e-4
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_MAX_SHRINKS = 30
 
 DEFAULT_WEIGHT_RADIUS = 10.0
 
@@ -153,9 +161,11 @@ class LogisticProblem:
     def oracle(self) -> LogisticOracle:
         return LogisticOracle(self.dataset.features, self.dataset.labels)
 
-    def exact_oracle(self) -> GaussianOracle:
-        """Noiseless full-data oracle (for references and baselines)."""
-        return GaussianOracle(self.objective_and_gradient, self.dimension, sigma=0.0)
+    def hessian(self, weights) -> np.ndarray:
+        """Full-data Hessian X^T diag(s (1 - s)) X / m with s = sigmoid(X w)."""
+        w = _as_vector(weights, self.dimension)
+        s = expit(self.dataset.features @ w)
+        return (self.dataset.features.T * (s * (1.0 - s))) @ self.dataset.features / self.dataset.size
 
     @cached_property
     def fitted_sigma(self) -> float:
@@ -279,14 +289,60 @@ def split_train_test(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0
 
 
 def erm_reference(problem, tol: float = 1e-6, *, seed: int = 0) -> tuple[Vector, float]:
-    """Reference optimum from a zero-noise run of the cut solver.
+    """Reference optimum whose exact-gradient certificate clears ``tol``.
 
     ``problem`` needs objective_and_gradient, objective and feasible_set.
-    The run is budgeted so the worst-case gap bound clears ``tol`` and stops
-    earlier as soon as the exact-gradient certificate does.
+    A ``LogisticProblem`` first gets damped Newton steps from w = 0, and
+    the first iterate whose ``linear_optimality_gap`` is at most ``tol`` is
+    returned. When Newton cannot certify a point (a step leaves the ball,
+    the Hessian is singular, or the step cap is reached), and for every
+    other problem, the reference comes from a zero-noise cut-solver run.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if isinstance(problem, LogisticProblem):
+        reference = _newton_reference(problem, tol)
+        if reference is not None:
+            return reference
+    return _cut_reference(problem, tol, seed)
+
+
+def _newton_reference(problem: LogisticProblem, tol: float) -> tuple[Vector, float] | None:
+    """Damped Newton (IRLS) with Armijo backtracking; None when it gives up."""
+    ball = problem.feasible_set
+    w = np.zeros(problem.dimension)
+    value, grad = problem.objective_and_gradient(w)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if linear_optimality_gap(ball, w, grad) <= tol:
+            return w, value
+        try:
+            direction = np.linalg.solve(problem.hessian(w), -grad)
+        except np.linalg.LinAlgError:
+            return None
+        # the ball is convex, so every damped step stays inside with the full one
+        if not ball.contains(w + direction):
+            return None
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(_ARMIJO_MAX_SHRINKS):
+            trial = w + step * direction
+            trial_value, trial_grad = problem.objective_and_gradient(trial)
+            if trial_value <= value + _ARMIJO_FRACTION * step * slope:
+                break
+            step *= _ARMIJO_SHRINK
+        else:
+            return None
+        w, value, grad = trial, trial_value, trial_grad
+    return None
+
+
+def _cut_reference(problem, tol: float, seed: int) -> tuple[Vector, float]:
+    """Zero-noise cut-solver run, budgeted so the worst-case gap bound clears
+    ``tol`` and stopped as soon as the exact-gradient certificate does.
+
+    A certified run returns its last center, the one that certified;
+    otherwise the run's own selection.
+    """
     oracle = GaussianOracle(problem.objective_and_gradient, problem.feasible_set.dimension, sigma=0.0)
     value_range = estimate_value_range(oracle, problem.feasible_set, seed=seed)
     config = SolverConfig(
@@ -298,7 +354,10 @@ def erm_reference(problem, tol: float = 1e-6, *, seed: int = 0) -> tuple[Vector,
         certificate_stop=tol,
     )
     report = solve(oracle, problem.feasible_set, config)
-    best = report.best_point
+    if report.termination == TERMINATION_CERTIFIED:
+        best = report.records[-1].center
+    else:
+        best = report.best_point
     return best, float(problem.objective(best))
 
 

@@ -71,7 +71,7 @@ class TestFirstCrossings:
 class TestOrderingVerdict:
     def _outcome(self, rows):
         oc = SeedOutcome(
-            seed=0, f_star_train=0.0, f_star_test=0.0, sigma=1.0,
+            seed=0, f_star_train=0.0, f_star_gap=0.0, f_star_test=0.0, sigma=1.0,
             value_range=1.0, iterations=60, theory_batch_size=None, sweep=(0.1,),
         )
         oc.rows = rows
@@ -282,9 +282,12 @@ class TestRunExperiment:
         keys = {line.partition("=")[0] for line in lines if line and not line.startswith("#")}
         for expected in ("m", "n", "eps", "seeds", "batch_size", "out_dir",
                          "resolved.seed0.sigma", "resolved.seed0.iterations",
-                         "resolved.seed0.f_star_test", "result.seed0.ordering_ok",
+                         "resolved.seed0.f_star_gap", "resolved.seed0.f_star_test",
+                         "result.seed0.ordering_ok",
                          "result.ordering_ok"):
             assert expected in keys
+        gap = next(line for line in lines if line.startswith("resolved.seed0.f_star_gap="))
+        assert 0.0 <= float(gap.partition("=")[2]) <= config.erm_tol
 
     def test_manifest_round_trips_a_derive_mode_config(self):
         config = BenchConfig(batch_size=None, max_iters=None, sigma=None, out_dir="x")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsopt.geometry import Ball
+from ellipsopt import problems
+from ellipsopt.geometry import Ball, linear_optimality_gap
 from ellipsopt.problems import (
     Dataset,
     DatasetFormatError,
@@ -270,6 +271,65 @@ class TestErmReference:
         )
         point, value = erm_reference(problem, tol=1e-6)
         assert value <= -1.0 + 1e-4
+
+    @staticmethod
+    def _exact_gap(problem, point):
+        return linear_optimality_gap(problem.feasible_set, point, problem.gradient(point))
+
+    @staticmethod
+    def _cut_solves(monkeypatch):
+        runs = []
+        original = problems.solve
+
+        def recording(*args, **kwargs):
+            report = original(*args, **kwargs)
+            runs.append(report)
+            return report
+
+        monkeypatch.setattr(problems, "solve", recording)
+        return runs
+
+    # on seed 9 the cut run's lowest-value center has a gap of 1.06e-4, so
+    # only the center that certified clears tol
+    @pytest.mark.parametrize("seed", [0, 1, 2, 9])
+    def test_newton_reference_agrees_with_the_cut_reference(self, seed, monkeypatch):
+        dataset, _ = generate_synthetic(2000, 5, seed=seed)
+        problem = LogisticProblem(dataset)
+        tol = 1e-4
+        runs = self._cut_solves(monkeypatch)
+        newton_point, newton_value = erm_reference(problem, tol=tol, seed=seed)
+        assert runs == []
+        cut_point, cut_value = problems._cut_reference(problem, tol, seed)
+        assert [r.termination for r in runs] == ["certified"]
+        np.testing.assert_array_equal(cut_point, runs[0].records[-1].center)
+        assert abs(newton_value - cut_value) <= tol
+        assert newton_value == pytest.approx(problem.objective(newton_point), rel=1e-12)
+        assert self._exact_gap(problem, newton_point) <= tol
+        assert self._exact_gap(problem, cut_point) <= tol
+
+    def test_newton_step_leaving_the_ball_falls_back_to_the_cut_solver(self, monkeypatch):
+        dataset, _ = generate_synthetic(500, 3, seed=4)
+        problem = LogisticProblem(dataset, weight_radius=0.05)
+        first_step = np.linalg.solve(problem.hessian(np.zeros(3)), -problem.gradient(np.zeros(3)))
+        assert np.linalg.norm(first_step) > 0.05
+        runs = self._cut_solves(monkeypatch)
+        point, value = erm_reference(problem, tol=1e-6)
+        assert len(runs) == 1
+        assert np.linalg.norm(point) <= 0.05 * (1.0 + 1e-9)
+        assert self._exact_gap(problem, point) <= 1e-6
+        assert value == problem.objective(point)
+
+    @pytest.mark.parametrize("column", ["zero", "duplicate"])
+    def test_singular_design_falls_back_without_error(self, column, monkeypatch):
+        dataset, _ = generate_synthetic(500, 3, seed=5)
+        X = dataset.features
+        extra = np.zeros((X.shape[0], 1)) if column == "zero" else X[:, :1]
+        problem = LogisticProblem(Dataset(np.hstack([X, extra]), dataset.labels))
+        runs = self._cut_solves(monkeypatch)
+        point, value = erm_reference(problem, tol=1e-4)
+        assert len(runs) == 1
+        assert self._exact_gap(problem, point) <= 1e-4
+        assert value == pytest.approx(problem.objective(point), rel=1e-12)
 
     def test_rejects_nonpositive_tol(self):
         problem = QuadraticProblem(
