@@ -42,7 +42,7 @@ from .problems import (
     split_train_test,
 )
 from .reporting import IterationRecord, SolverReport, read_trace_csv, write_trace_csv
-from .sgd import DivergedError, SgdConfig, default_step_grid, sgd_run
+from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import (
     NoFeasiblePointError,
     Plan,

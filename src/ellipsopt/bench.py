@@ -31,7 +31,7 @@ from .problems import (
     split_train_test,
 )
 from .reporting import SolverReport, format_float, write_trace_csv
-from .sgd import DivergedError, SgdConfig, default_step_grid, sgd_run
+from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import SolverConfig, resolve_plan, solve
 
 SOLVER_NAMES = ("ellipsoid", "sgd")
@@ -51,6 +51,9 @@ class InfeasibleConfigError(ValueError):
 @dataclass(frozen=True)
 class BenchConfig:
     """Experiment description; every field maps to one manifest key.
+
+    A field's annotation fixes how its manifest value is parsed and written
+    (``_VALUE_KINDS``); an ``int | None`` field reads 0 as "derive it".
 
     ``workers`` has no effect; it is kept so that existing callers and
     saved manifests still load.
@@ -123,7 +126,7 @@ class RunRow:
     eval_calls: int
     wall_time_s: float
     final_test_loss: float
-    report: SolverReport | None = None
+    report: SolverReport
 
     def cells(self) -> list[str]:
         return [
@@ -253,16 +256,17 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
         sweep=tuple(sweep),
     )
 
-    if "ellipsoid" in config.solvers:
+    def run_row(solver: str, step_size: float | None, run, test_curve) -> None:
+        # wall time covers the solver call only, not the test curve
         t0 = time.perf_counter()
-        report = solve(oracle, ball, solver_cfg)
+        report = run()
         wall = time.perf_counter() - t0
-        curve = running_best_test_curve(report.records, test_problem)
+        curve = test_curve(report.records, test_problem)
         outcome.rows.append(
             RunRow(
-                solver="ellipsoid",
+                solver=solver,
                 seed=seed,
-                step_size=None,
+                step_size=step_size,
                 batch_size=report.batch_size,
                 iterations=report.iterations,
                 crossings=first_crossings(curve, f_star_test),
@@ -274,6 +278,9 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
             )
         )
 
+    if "ellipsoid" in config.solvers:
+        run_row("ellipsoid", None, lambda: solve(oracle, ball, solver_cfg), running_best_test_curve)
+
     if "sgd" in config.solvers:
         for alpha in sweep:
             sgd_cfg = SgdConfig(
@@ -282,43 +289,7 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
                 batch_size=config.sgd_batch_size,
                 seed=seed,
             )
-            t0 = time.perf_counter()
-            try:
-                report = sgd_run(oracle, ball, sgd_cfg)
-            except DivergedError:
-                outcome.rows.append(
-                    RunRow(
-                        solver="sgd",
-                        seed=seed,
-                        step_size=alpha,
-                        batch_size=config.sgd_batch_size,
-                        iterations=0,
-                        crossings=(None, None, None),
-                        oracle_calls=0,
-                        eval_calls=0,
-                        wall_time_s=time.perf_counter() - t0,
-                        final_test_loss=math.inf,
-                        report=None,
-                    )
-                )
-                continue
-            wall = time.perf_counter() - t0
-            curve = iterate_test_curve(report.records, test_problem)
-            outcome.rows.append(
-                RunRow(
-                    solver="sgd",
-                    seed=seed,
-                    step_size=alpha,
-                    batch_size=report.batch_size,
-                    iterations=report.iterations,
-                    crossings=first_crossings(curve, f_star_test),
-                    oracle_calls=report.grad_draws,
-                    eval_calls=report.eval_draws,
-                    wall_time_s=wall,
-                    final_test_loss=float(curve[-1]),
-                    report=report,
-                )
-            )
+            run_row("sgd", alpha, lambda: sgd_run(oracle, ball, sgd_cfg), iterate_test_curve)
 
     outcome.ordering_ok = _check_ordering(outcome, config)
     return outcome
@@ -342,7 +313,7 @@ def _check_ordering(outcome: SeedOutcome, config: BenchConfig) -> bool | None:
 def _best_sgd_row(rows: list[RunRow]) -> RunRow | None:
     """The sweep configuration whose trace gets archived: earliest to the
     1e-2 threshold, then earliest to 1e-3, then lowest final test loss."""
-    candidates = [r for r in rows if r.solver == "sgd" and r.report is not None]
+    candidates = [r for r in rows if r.solver == "sgd"]
     if not candidates:
         return None
     def key(r: RunRow):
@@ -360,17 +331,33 @@ def render_summary_csv(rows: list[RunRow]) -> str:
 
 # --- manifest / config file format -----------------------------------------
 
-_BOOL_KEYS = {"intercept"}
-_INT_KEYS = {"m", "n", "batch_size", "eval_batch_size", "max_iters",
-             "sgd_batch_size", "sgd_iterations", "workers"}
-_DERIVABLE_INT_KEYS = {"batch_size", "eval_batch_size", "max_iters", "sgd_iterations"}
-_FLOAT_KEYS = {"eps", "beta", "sigma", "test_fraction", "weight_radius", "erm_tol"}
-_LIST_INT_KEYS = {"seeds"}
-_LIST_FLOAT_KEYS = {"sweep"}
-_LIST_STR_KEYS = {"solvers"}
-_STR_KEYS = {"csv", "out_dir"}
-_CONFIG_KEYS = (_BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS
-                | _LIST_FLOAT_KEYS | _LIST_STR_KEYS | _STR_KEYS)
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false", "0", "1"):
+        raise ValueError("expected true/false")
+    return value.lower() in ("true", "1")
+
+
+def _split(value: str) -> list[str]:
+    return [p.strip() for p in value.split(",") if p.strip() != ""]
+
+
+# BenchConfig's fields are the manifest schema: a field's annotation, with
+# "| None" stripped, picks the (parse, format) pair for its value
+_VALUE_KINDS = {
+    "int": (int, str),
+    "float": (float, format_float),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "str": (str, str),
+    "tuple[int, ...]": (lambda s: tuple(int(p) for p in _split(s)), lambda v: ",".join(map(str, v))),
+    "tuple[float, ...]": (lambda s: tuple(float(p) for p in _split(s)),
+                          lambda v: ",".join(map(format_float, v))),
+    "tuple[str, ...]": (lambda s: tuple(_split(s)), ",".join),
+}
+# key -> (parse, format, derivable); the int | None keys read 0 as "derive it"
+_SCHEMA = {
+    f.name: (*_VALUE_KINDS[f.type.removesuffix(" | None")], f.type == "int | None")
+    for f in dataclasses.fields(BenchConfig)
+}
 # keys that manifests of earlier versions carry and that no longer do anything
 _RETIRED_KEYS = {"parallel_seeds"}
 
@@ -402,58 +389,30 @@ def config_from_mapping(mapping: dict[str, str]) -> BenchConfig:
     for key, value in mapping.items():
         if key.startswith(("resolved.", "result.")) or key in _RETIRED_KEYS:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
         if value == "":
             continue
+        parse, _, derivable = _SCHEMA[key]
         try:
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError("expected true/false")
-                kwargs[key] = value.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                parsed = int(value)
-                # 0 = "derive it" for the knobs whose absence means derived
-                if parsed == 0 and key in _DERIVABLE_INT_KEYS:
-                    kwargs[key] = None
-                else:
-                    kwargs[key] = parsed
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _LIST_INT_KEYS:
-                kwargs[key] = tuple(int(p) for p in value.split(",") if p.strip() != "")
-            elif key in _LIST_FLOAT_KEYS:
-                kwargs[key] = tuple(float(p) for p in value.split(",") if p.strip() != "")
-            elif key in _LIST_STR_KEYS:
-                kwargs[key] = tuple(p.strip() for p in value.split(",") if p.strip() != "")
-            else:
-                kwargs[key] = value
+            parsed = parse(value)
         except ValueError as exc:
             raise ValueError(f"config key {key}={value!r}: {exc}") from exc
+        kwargs[key] = None if derivable and parsed == 0 else parsed
     return BenchConfig(**kwargs)
 
 
 def _config_items(config: BenchConfig) -> list[tuple[str, str]]:
-    def fmt(key: str, value) -> str:
+    items = []
+    for key, (_, fmt, derivable) in _SCHEMA.items():
+        value = getattr(config, key)
         if value is None:
             # 0 round-trips to "derive it" for these; "" would load as the
             # field default, which for batch_size is a fixed size instead
-            return "0" if key in _DERIVABLE_INT_KEYS else ""
-        if key in _BOOL_KEYS:
-            return "true" if value else "false"
-        if key in _LIST_INT_KEYS or key in _LIST_STR_KEYS:
-            return ",".join(str(v) for v in value)
-        if key in _LIST_FLOAT_KEYS:
-            return ",".join(format_float(v) for v in value)
-        if key in _FLOAT_KEYS:
-            return format_float(value)
-        return str(value)
-
-    ordered = ["m", "n", "csv", "intercept", "solvers", "seeds", "eps", "beta",
-               "sigma", "batch_size", "eval_batch_size", "max_iters",
-               "sgd_batch_size", "sgd_iterations", "sweep", "test_fraction",
-               "weight_radius", "erm_tol", "workers", "out_dir"]
-    return [(key, fmt(key, getattr(config, key))) for key in ordered]
+            items.append((key, "0" if derivable else ""))
+        else:
+            items.append((key, fmt(value)))
+    return items
 
 
 def render_manifest(config: BenchConfig, outcomes: list[SeedOutcome], ordering_ok: bool | None) -> str:
@@ -499,7 +458,7 @@ def run_experiment(config: BenchConfig) -> ExperimentOutcome:
     for oc in outcomes:
         for row in oc.rows:
             all_rows.append(row)
-        ell = [r for r in oc.rows if r.solver == "ellipsoid" and r.report is not None]
+        ell = [r for r in oc.rows if r.solver == "ellipsoid"]
         if ell:
             path = out_dir / f"ellipsoid-seed{oc.seed}.csv"
             write_trace_csv(path, ell[0].report.records)

@@ -10,6 +10,7 @@ inputs are invalid.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -138,32 +139,15 @@ def _bench_config(args) -> BenchConfig:
     if args.config is not None:
         mapping.update(read_key_value_file(args.config))
 
-    def put(key: str, value) -> None:
+    # every bench flag's dest is the config key it sets
+    for f in dataclasses.fields(BenchConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            mapping[key] = str(value)
-
-    put("m", args.m)
-    put("n", args.n)
-    put("csv", args.csv)
+            mapping[f.name] = str(value)
     if args.no_intercept:
         mapping["intercept"] = "false"
-    put("solvers", args.solvers)
-    if args.seeds is not None:
-        mapping["seeds"] = args.seeds
-    elif args.seed is not None:
+    if args.seeds is None and args.seed is not None:
         mapping["seeds"] = str(args.seed)
-    put("eps", args.eps)
-    put("beta", args.beta)
-    put("sigma", args.sigma)
-    put("batch_size", args.batch_size)
-    put("max_iters", args.max_iters)
-    put("sgd_batch_size", args.sgd_batch_size)
-    put("sgd_iterations", args.sgd_iterations)
-    put("sweep", args.sweep)
-    put("erm_tol", args.erm_tol)
-    put("weight_radius", args.weight_radius)
-    put("test_fraction", args.test_fraction)
-    put("out_dir", args.out_dir)
     return config_from_mapping(mapping)
 
 

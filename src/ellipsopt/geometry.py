@@ -86,11 +86,6 @@ class Ellipsoid:
             raise DegenerateEllipsoidError("shape matrix lost positive definiteness")
         return float(logdet)
 
-    def contains(self, x, rtol: float = 1e-9) -> bool:
-        d = _as_vector(x, self.dimension) - self.center
-        q = float(d @ np.linalg.solve(self.shape, d))
-        return q <= 1.0 + rtol
-
 
 def log_det_shift(dim: int) -> float:
     """Exact change of log det(H) produced by one cut step in ``dim`` dimensions."""

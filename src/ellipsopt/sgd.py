@@ -11,20 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import FeasibleSet
 from .oracles import BatchSpec, StochasticGradOracle, minibatch_gradient
 from .reporting import CUT_SGD, TERMINATION_BUDGET, IterationRecord, SolverReport
 from .solver import _select_candidates
-
-# iterates farther than this many bounding-ball radii from the origin diverged
-_DIVERGENCE_FACTOR = 1e3
-
-
-class DivergedError(RuntimeError):
-    """Raised when iterates blow past the divergence guard (bad step size)."""
-
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -56,23 +46,17 @@ def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Sgd
     """Iterate theta <- project(theta - alpha * minibatch gradient).
 
     Starts from the bounding ball's center projected onto the set and
-    reports the last iterate. Raises DivergedError once an iterate's norm
-    exceeds 1e3 times the bounding ball's radius.
+    reports the last iterate. Every iterate is projected, so none can leave
+    the set; Ball and Box projections raise ValueError on a non-finite step.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
         raise ValueError(f"oracle dimension {oracle.dimension} does not match the set's {n}")
-    ball = feasible_set.bounding_ball
-    theta = feasible_set.project(ball.center)
-    guard = _DIVERGENCE_FACTOR * ball.radius
+    theta = feasible_set.project(feasible_set.bounding_ball.center)
     batch = BatchSpec(size=config.batch_size, seed=config.seed)
 
     records: list[IterationRecord] = []
     for k in range(config.iterations):
-        if float(np.linalg.norm(theta)) > guard:
-            raise DivergedError(
-                f"iterate norm exceeded {guard:.3e} at step {k}; lower the step size"
-            )
         sample = minibatch_gradient(oracle, theta, batch, step=k)
         records.append(
             IterationRecord(k, theta, True, sample.gradient, CUT_SGD, sample.value, None)

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _rng
 from .geometry import Ball, Box, Ellipsoid, ellipsoid_step, shape_det_ratio
 from .oracles import GaussianOracle, PerturbedOracle, concentration_radius
 from .problems import LogisticProblem, QuadraticProblem, LinearProblem, generate_synthetic
 from .solver import SolverConfig, solve, theoretical_gap
-
-SUITE_NAMES = ("volume", "containment", "concentration", "theorem1", "theorem2", "gradcheck")
 
 
 @dataclass
@@ -283,6 +280,7 @@ _SUITES = {
     "theorem2": check_theorem2,
     "gradcheck": check_gradcheck,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, **kwargs) -> ValidationResult:

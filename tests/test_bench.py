@@ -56,6 +56,11 @@ def _row(solver, crossings, step=0.1, final=0.5, report="stub"):
     )
 
 
+def _manifest_mapping(config: BenchConfig) -> dict[str, str]:
+    text = render_manifest(config, [], None)
+    return dict(line.partition("=")[::2] for line in text.splitlines() if not line.startswith("#"))
+
+
 class TestFirstCrossings:
     def test_indexes_the_first_dip_per_threshold(self):
         curve = [1.0, 0.5, 0.1, 0.05, 0.001]
@@ -125,12 +130,8 @@ class TestBestSgdRow:
         ]
         assert _best_sgd_row(rows).final_test_loss == 0.4
 
-    def test_skips_diverged_rows_and_non_sgd(self):
-        rows = [
-            _row("ellipsoid", (1, 2, 3)),
-            _row("sgd", (None, None, None), report=None),
-        ]
-        assert _best_sgd_row(rows) is None
+    def test_skips_non_sgd_rows(self):
+        assert _best_sgd_row([_row("ellipsoid", (1, 2, 3))]) is None
 
 
 class TestConfigValidation:
@@ -290,15 +291,31 @@ class TestRunExperiment:
         assert 0.0 <= float(gap.partition("=")[2]) <= config.erm_tol
 
     def test_manifest_round_trips_a_derive_mode_config(self):
-        config = BenchConfig(batch_size=None, max_iters=None, sigma=None, out_dir="x")
-        text = render_manifest(config, [], None)
-        mapping = {
-            k: v for k, v in
-            (line.partition("=")[::2] for line in text.splitlines() if not line.startswith("#"))
-        }
+        derive = BenchConfig(batch_size=None, max_iters=None, sigma=None, out_dir="x")
+        # every field differs from its default
+        full = BenchConfig(
+            m=123, n=7, csv="data/x.csv", intercept=False, solvers=("sgd", "ellipsoid"),
+            seeds=(3, 1), eps=0.125, beta=0.25, sigma=1.5, batch_size=77,
+            eval_batch_size=33, max_iters=44, sgd_batch_size=5, sgd_iterations=66,
+            sweep=(0.001, 0.5, 1e-07), test_fraction=0.3, weight_radius=2.5,
+            erm_tol=1e-05, workers=3, out_dir="some/dir",
+        )
+        assert all(getattr(full, f.name) != f.default for f in dataclasses.fields(BenchConfig))
+        mapping = _manifest_mapping(derive)
         assert mapping["batch_size"] == "0"
-        rebuilt = config_from_mapping(mapping)
-        assert rebuilt == config
+        assert config_from_mapping(mapping) == derive
+        assert config_from_mapping(_manifest_mapping(full)) == full
+        # pins the manifest's bytes and key order
+        assert render_manifest(full, [], None) == (
+            "# experiment manifest: the key=value lines below rerun this\n"
+            "# experiment byte-identically via --config (resolved.* and\n"
+            "# result.* lines are informational echoes and are ignored)\n"
+            "m=123\nn=7\ncsv=data/x.csv\nintercept=false\nsolvers=sgd,ellipsoid\n"
+            "seeds=3,1\neps=0.125\nbeta=0.25\nsigma=1.5\nbatch_size=77\n"
+            "eval_batch_size=33\nmax_iters=44\nsgd_batch_size=5\nsgd_iterations=66\n"
+            "sweep=0.001,0.5,1e-07\ntest_fraction=0.3\nweight_radius=2.5\n"
+            "erm_tol=1e-05\nworkers=3\nout_dir=some/dir\n"
+        )
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         config = _small_config(tmp_path / "first", seeds=(0,))

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ellipsopt.cli import main
+from ellipsopt.bench import BenchConfig
+from ellipsopt.cli import _bench_config, build_parser, main
 from ellipsopt.problems import load_dataset_csv
 
 
@@ -149,6 +152,39 @@ class TestBench:
         cfg.write_text("momentum=0.9\n", encoding="utf-8")
         assert main(_bench_args(tmp_path, config=cfg)) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+_BENCH_FLAG_CASES = [
+    (["--m", "321"], "m", 321),
+    (["--n", "4"], "n", 4),
+    (["--csv", "data.csv"], "csv", "data.csv"),
+    (["--no-intercept"], "intercept", False),
+    (["--solvers", "sgd"], "solvers", ("sgd",)),
+    (["--seeds", "3,4"], "seeds", (3, 4)),
+    (["--seed", "9"], "seeds", (9,)),
+    (["--eps", "0.125"], "eps", 0.125),
+    (["--beta", "0.25"], "beta", 0.25),
+    (["--sigma", "1.5"], "sigma", 1.5),
+    (["--batch-size", "77"], "batch_size", 77),
+    (["--batch-size", "0"], "batch_size", None),
+    (["--max-iters", "44"], "max_iters", 44),
+    (["--sgd-batch-size", "5"], "sgd_batch_size", 5),
+    (["--sgd-iterations", "66"], "sgd_iterations", 66),
+    (["--sweep", "0.5,1e-07"], "sweep", (0.5, 1e-07)),
+    (["--test-fraction", "0.3"], "test_fraction", 0.3),
+    (["--weight-radius", "2.5"], "weight_radius", 2.5),
+    (["--erm-tol", "1e-05"], "erm_tol", 1e-05),
+    (["--out-dir", "some/dir"], "out_dir", "some/dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected", _BENCH_FLAG_CASES, ids=[" ".join(c[0]) for c in _BENCH_FLAG_CASES]
+)
+def test_each_bench_flag_sets_the_config_key_of_its_name(argv, key, expected):
+    config = _bench_config(build_parser().parse_args(["bench", *argv]))
+    # that key changes and every other one keeps its default
+    assert config == dataclasses.replace(BenchConfig(), **{key: expected})
 
 
 class TestValidate:

@@ -78,20 +78,6 @@ def test_ellipsoid_validates_inputs():
         Ellipsoid(np.zeros(2), -np.eye(2))
 
 
-def test_ellipsoid_contains_and_sample():
-    ell = Ellipsoid(np.array([1.0, 2.0]), np.diag([4.0, 9.0]))
-    assert ell.contains([1.0, 2.0])
-    assert ell.contains([3.0, 2.0])
-    assert not ell.contains([3.1, 2.0])
-    # points sampled on the boundary are members; pushed 1% outward they are not
-    rng = np.random.default_rng(1)
-    directions = rng.standard_normal((500, 2))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    boundary = ell.center + directions @ np.linalg.cholesky(ell.shape).T
-    assert all(ell.contains(p) for p in boundary)
-    assert not any(ell.contains(ell.center + 1.01 * (p - ell.center)) for p in boundary)
-
-
 class TestBox:
     def test_geometry_constants(self):
         box = Box.centered(3, 2.0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ellipsopt.geometry import Ball
+from ellipsopt.geometry import Ball, Box
 from ellipsopt.oracles import GaussianOracle
 from ellipsopt.problems import QuadraticProblem
-from ellipsopt.sgd import DivergedError, SgdConfig, default_step_grid, sgd_run
+from ellipsopt.sgd import SgdConfig, default_step_grid, sgd_run
 
 
 def exact_oracle(problem, dim):
@@ -33,21 +33,28 @@ def test_projection_keeps_iterates_feasible():
     assert np.allclose(report.best_point, [0.5, 0.0], atol=1e-6)
 
 
-def test_divergence_guard_raises():
-    ball = Ball(np.zeros(2), 1.0)
+@pytest.mark.parametrize(
+    "feasible_set",
+    [Ball(np.array([5000.0, 0.0]), 1.0), Box([2000.0, 0.0], [2001.0, 1.0])],
+    ids=["ball", "box"],
+)
+def test_sets_far_from_the_origin_run_with_feasible_iterates(feasible_set):
+    # sets far from the origin relative to their size run like any other
+    problem = QuadraticProblem(np.zeros(2), feasible_set)  # pulls toward the origin
+    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.1)
+    config = SgdConfig(step_size=0.5, iterations=20, batch_size=4, seed=0)
+    report = sgd_run(oracle, feasible_set, config)
+    assert report.iterations == 20
+    for rec in report.records:
+        assert feasible_set.contains(rec.center)
+    assert feasible_set.contains(report.best_point)
 
-    def runaway(x):
-        return 0.0, np.asarray(x) * -1e6  # pushes hard away from the origin
 
-    class NoProject(Ball):
-        def project(self, x):  # leave iterates unprojected to let them blow up
-            return np.asarray(x, dtype=np.float64)
-
-    # the run starts at the center (0.1, 0), where the push is nonzero
-    s = NoProject(np.array([0.1, 0.0]), 1.0)
-    oracle = GaussianOracle(runaway, 2, sigma=0.0)
-    with pytest.raises(DivergedError, match="exceeded 1.000e\\+03"):
-        sgd_run(oracle, s, SgdConfig(step_size=1.0, iterations=50, batch_size=1, seed=0))
+def test_non_finite_gradient_raises():
+    oracle = GaussianOracle(lambda x: (0.0, np.array([np.inf, 0.0])), 2, sigma=0.0)
+    config = SgdConfig(step_size=0.1, iterations=3, batch_size=1, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        sgd_run(oracle, Ball(np.zeros(2), 1.0), config)
 
 
 def test_reports_the_last_iterate_deterministically():
