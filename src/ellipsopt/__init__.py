@@ -37,11 +37,10 @@ from .problems import (
     fit_subgaussian_sigma,
     generate_synthetic,
     load_dataset_csv,
-    logistic_value_grad,
     save_dataset_csv,
     split_train_test,
 )
-from .reporting import IterationRecord, SolverReport, read_trace_csv, write_trace_csv
+from .reporting import IterationRecord, SolverReport, write_trace_csv
 from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import (
     NoFeasiblePointError,

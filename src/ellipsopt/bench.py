@@ -90,6 +90,8 @@ class BenchConfig:
             raise InfeasibleConfigError("provide at least one seed")
         if any(s < 0 for s in self.seeds):
             raise InfeasibleConfigError("seeds must be non-negative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise InfeasibleConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.eps <= 0:
             raise InfeasibleConfigError("eps must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -110,6 +112,8 @@ class BenchConfig:
             raise InfeasibleConfigError("erm_tol and weight_radius must be positive")
         if self.sigma is not None and self.sigma < 0:
             raise InfeasibleConfigError("sigma must be non-negative when given")
+        if self.sweep is not None and not self.sweep:
+            raise InfeasibleConfigError("sweep must list at least one step size when given")
 
 
 @dataclass
@@ -207,31 +211,35 @@ def iterate_test_curve(records, test_problem: LogisticProblem, chunk: int = 512)
     return np.concatenate(parts)
 
 
-def _load_seed_data(config: BenchConfig, seed: int):
+def load_dataset(config: BenchConfig, seed: int):
+    """The config's dataset: its CSV, or the synthetic draw for ``seed``."""
     if config.csv is not None:
-        dataset = load_dataset_csv(config.csv)
-    else:
-        dataset, _ = generate_synthetic(config.m, config.n, seed=seed, intercept=config.intercept)
-    return split_train_test(dataset, config.test_fraction, seed=seed)
+        return load_dataset_csv(config.csv)
+    dataset, _ = generate_synthetic(config.m, config.n, seed=seed, intercept=config.intercept)
+    return dataset
 
 
-def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
-    train, test = _load_seed_data(config, seed)
-    problem = LogisticProblem(train, weight_radius=config.weight_radius)
-    test_problem = LogisticProblem(test, weight_radius=config.weight_radius)
-    ball = problem.feasible_set
-    oracle = problem.oracle()
-
-    sigma = config.sigma if config.sigma is not None else problem.fitted_sigma
-    solver_cfg = SolverConfig(
+def solver_config(config: BenchConfig, seed: int, problem: LogisticProblem) -> SolverConfig:
+    """The cut solver's parameters for one seed, sigma fitted to the data if unset."""
+    return SolverConfig(
         eps=config.eps,
         beta=config.beta,
-        sigma=sigma,
+        sigma=config.sigma if config.sigma is not None else problem.fitted_sigma,
         seed=seed,
         batch_size=config.batch_size,
         eval_batch_size=config.eval_batch_size,
         max_iterations=config.max_iters,
     )
+
+
+def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
+    train, test = split_train_test(load_dataset(config, seed), config.test_fraction, seed=seed)
+    problem = LogisticProblem(train, weight_radius=config.weight_radius)
+    test_problem = LogisticProblem(test, weight_radius=config.weight_radius)
+    ball = problem.feasible_set
+    oracle = problem.oracle()
+
+    solver_cfg = solver_config(config, seed, problem)
     try:
         plan = resolve_plan(oracle, ball, solver_cfg)
     except ValueError as exc:
@@ -249,7 +257,7 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
         f_star_train=f_star_train,
         f_star_gap=linear_optimality_gap(ball, w_star, problem.gradient(w_star)),
         f_star_test=f_star_test,
-        sigma=sigma,
+        sigma=solver_cfg.sigma,
         value_range=plan.value_range,
         iterations=plan.iterations,
         theory_batch_size=plan.theory_batch_size,
@@ -300,14 +308,11 @@ def _check_ordering(outcome: SeedOutcome, config: BenchConfig) -> bool | None:
     SGD configuration; None when only one solver ran (nothing to compare)."""
     if not ("ellipsoid" in config.solvers and "sgd" in config.solvers):
         return None
-    ell = [r for r in outcome.rows if r.solver == "ellipsoid"]
-    sgd = [r for r in outcome.rows if r.solver == "sgd"]
-    if not ell or not sgd:
-        return None
-    target = ell[0].crossings[1]
+    target = next(r for r in outcome.rows if r.solver == "ellipsoid").crossings[1]
     if target is None:
         return False
-    return all(r.crossings[1] is None or target < r.crossings[1] for r in sgd)
+    return all(r.crossings[1] is None or target < r.crossings[1]
+               for r in outcome.rows if r.solver == "sgd")
 
 
 def _best_sgd_row(rows: list[RunRow]) -> RunRow | None:

@@ -2,9 +2,11 @@
 
 Subcommands: gen-data (write a synthetic dataset CSV), solve (one cut-solver
 run on a dataset), bench (solver comparison experiment), validate (seeded
-property suites). Flags override config-file values; exit status is nonzero
-exactly when an asserted comparison or validation check fails, or the
-inputs are invalid.
+property suites). Each run flag sets the ``BenchConfig`` key of its name,
+so every subcommand parses, defaults and validates its flags the same way,
+and a subcommand takes only the flags it reads. Flags override config-file
+values; exit status is nonzero exactly when an asserted comparison or
+validation check fails, or the inputs are invalid.
 """
 
 from __future__ import annotations
@@ -18,36 +20,50 @@ from .bench import (
     BenchConfig,
     InfeasibleConfigError,
     config_from_mapping,
+    load_dataset,
     read_key_value_file,
     run_experiment,
+    solver_config,
 )
-from .problems import (
-    LogisticProblem,
-    generate_synthetic,
-    load_dataset_csv,
-    save_dataset_csv,
-)
+from .problems import LogisticProblem, save_dataset_csv
 from .reporting import format_float, write_trace_csv
-from .solver import SolverConfig, solve
+from .solver import solve
 from .validation import SUITE_NAMES, run_suite
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+# help text of the run flags; a flag without an entry has none
+_HELP = {
+    "m": "synthetic dataset size",
+    "n": "synthetic feature count",
+    "csv": "dataset CSV path (header row, labels in column y)",
+    "intercept": "omit the constant-1 intercept column in synthetic data",
+    "solvers": "comma list: ellipsoid,sgd",
+    "seeds": "comma list of seeds (overrides --seed)",
+    "eps": "target accuracy",
+    "beta": "allowed failure probability",
+    "sigma": "subgaussian noise scale (default: fitted from data)",
+    "batch_size": "gradient minibatch size; 0 = derive from the concentration bound",
+    "max_iters": "iteration cap; 0 = the 2 n^2 ln(DB/(rho eps)) budget",
+    "sweep": "comma list of SGD step sizes",
+    "weight_radius": "radius of the feasible weight ball",
+    "out_dir": "artifact directory",
+}
+_DATA_KEYS = ["m", "n", "intercept"]
+_SOLVE_KEYS = _DATA_KEYS + ["csv", "eps", "beta", "sigma", "batch_size", "max_iters", "weight_radius"]
+
+
+def _add_config_flags(p: argparse.ArgumentParser, keys, **defaults) -> None:
+    """``--seed`` and one flag per BenchConfig key in ``keys``, its dest the
+    key. Values stay strings for ``config_from_mapping`` to parse; an unset
+    flag reads its entry in ``defaults``, or None."""
     p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument("--out-dir", default=None, help="artifact directory")
-    p.add_argument("--eps", type=float, default=None, help="target accuracy")
-    p.add_argument("--beta", type=float, default=None, help="allowed failure probability")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="subgaussian noise scale (default: fitted from data)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="gradient minibatch size; 0 = derive from the concentration bound")
-    p.add_argument("--max-iters", type=int, default=None,
-                   help="iteration cap; 0 = the 2 n^2 ln(DB/(rho eps)) budget")
-    p.add_argument("--csv", default=None, help="dataset CSV path (header row, labels in column y)")
-    p.add_argument("--m", type=int, default=None, help="synthetic dataset size")
-    p.add_argument("--n", type=int, default=None, help="synthetic feature count")
-    p.add_argument("--no-intercept", action="store_true",
-                   help="omit the constant-1 intercept column in synthetic data")
+    for key in keys:
+        if key == "intercept":
+            p.add_argument("--no-intercept", dest=key, action="store_const", const="false",
+                           help=_HELP[key])
+        else:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=defaults.get(key),
+                           help=_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,73 +74,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write a synthetic logistic dataset CSV")
-    _add_shared_flags(g)
+    _add_config_flags(g, _DATA_KEYS + ["out_dir"], out_dir=".")
     g.add_argument("--out", default=None, help="output CSV path (default <out-dir>/data.csv)")
 
     s = sub.add_parser("solve", help="run the cut solver on a logistic dataset")
-    _add_shared_flags(s)
-    s.add_argument("--weight-radius", type=float, default=10.0,
-                   help="radius of the feasible weight ball")
+    _add_config_flags(s, _SOLVE_KEYS + ["out_dir"], out_dir=".")
     s.add_argument("--trace", default=None, help="trace CSV path (default <out-dir>/trace.csv)")
 
     b = sub.add_parser("bench", help="compare the cut solver against the SGD sweep")
-    _add_shared_flags(b)
+    _add_config_flags(b, _SOLVE_KEYS + ["solvers", "seeds", "sgd_batch_size", "sgd_iterations",
+                                        "sweep", "erm_tol", "test_fraction", "out_dir"])
     b.add_argument("--config", default=None,
                    help="key=value config file (flags given here win over it)")
-    b.add_argument("--solvers", default=None, help="comma list: ellipsoid,sgd")
-    b.add_argument("--seeds", default=None, help="comma list of seeds (overrides --seed)")
-    b.add_argument("--sgd-batch-size", type=int, default=None)
-    b.add_argument("--sgd-iterations", type=int, default=None)
-    b.add_argument("--sweep", default=None, help="comma list of SGD step sizes")
-    b.add_argument("--erm-tol", type=float, default=None)
-    b.add_argument("--weight-radius", type=float, default=None)
-    b.add_argument("--test-fraction", type=float, default=None)
 
     v = sub.add_parser("validate", help="run a seeded property suite")
-    _add_shared_flags(v)
+    _add_config_flags(v, ["out_dir"], out_dir=".")
     v.add_argument("suite", choices=sorted(SUITE_NAMES))
     return parser
 
 
+def _in_out_dir(out_dir: str, name: str) -> Path:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(out_dir) / name
+
+
 def _cmd_gen_data(args) -> int:
-    m = args.m if args.m is not None else 50_000
-    n = args.n if args.n is not None else 20
-    seed = args.seed if args.seed is not None else 0
-    out = args.out
-    if out is None:
-        out_dir = Path(args.out_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = out_dir / "data.csv"
-    dataset, _ = generate_synthetic(m, n, seed=seed, intercept=not args.no_intercept)
+    config = _bench_config(args)
+    out = args.out if args.out is not None else _in_out_dir(config.out_dir, "data.csv")
+    dataset = load_dataset(config, config.seeds[0])
     save_dataset_csv(dataset, out)
     print(f"wrote {dataset.size} x {dataset.width} dataset to {out}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.csv is not None:
-        dataset = load_dataset_csv(args.csv)
-    else:
-        m = args.m if args.m is not None else 50_000
-        n = args.n if args.n is not None else 20
-        dataset, _ = generate_synthetic(m, n, seed=seed, intercept=not args.no_intercept)
-    problem = LogisticProblem(dataset, weight_radius=args.weight_radius)
-    sigma = args.sigma if args.sigma is not None else problem.fitted_sigma
-    config = SolverConfig(
-        eps=args.eps if args.eps is not None else 0.05,
-        beta=args.beta if args.beta is not None else 0.1,
-        sigma=sigma,
-        seed=seed,
-        batch_size=args.batch_size or None,
-        max_iterations=args.max_iters or None,
-    )
-    report = solve(problem.oracle(), problem.feasible_set, config)
-    trace = args.trace
-    if trace is None:
-        out_dir = Path(args.out_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace = out_dir / "trace.csv"
+    config = _bench_config(args)
+    seed = config.seeds[0]
+    problem = LogisticProblem(load_dataset(config, seed), weight_radius=config.weight_radius)
+    report = solve(problem.oracle(), problem.feasible_set, solver_config(config, seed, problem))
+    trace = args.trace if args.trace is not None else _in_out_dir(config.out_dir, "trace.csv")
     write_trace_csv(trace, report.records)
     print(f"iterations={report.iterations} batch_size={report.batch_size} "
           f"termination={report.termination}")
@@ -135,18 +123,17 @@ def _cmd_solve(args) -> int:
 
 
 def _bench_config(args) -> BenchConfig:
+    """The config a gen-data, solve or bench command line describes."""
     mapping: dict[str, str] = {}
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         mapping.update(read_key_value_file(args.config))
 
-    # every bench flag's dest is the config key it sets
+    # every run flag's dest is the config key it sets
     for f in dataclasses.fields(BenchConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             mapping[f.name] = str(value)
-    if args.no_intercept:
-        mapping["intercept"] = "false"
-    if args.seeds is None and args.seed is not None:
+    if getattr(args, "seeds", None) is None and args.seed is not None:
         mapping["seeds"] = str(args.seed)
     return config_from_mapping(mapping)
 
@@ -174,9 +161,7 @@ def _cmd_validate(args) -> int:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     result = run_suite(args.suite, **kwargs)
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / f"validate-{args.suite}.txt"
+    report_path = _in_out_dir(args.out_dir, f"validate-{args.suite}.txt")
     report_path.write_text("\n".join(result.lines()) + "\n", encoding="utf-8")
     for line in result.lines():
         print(line)

@@ -24,6 +24,8 @@ from . import _rng
 from .geometry import FeasibleSet, Vector, _as_vector
 
 _CERTIFICATE_TOL = 1e-9
+# value draws per block of points in ``estimate_values``: its peak memory
+_MAX_BLOCK_DRAWS = 2**22
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,19 @@ def estimate_values(
 
     All points see the same noise realizations (common random numbers), so
     estimate differences cancel most of the noise when points are close.
+    Points go in near-equal blocks of at most ``_MAX_BLOCK_DRAWS`` draws (or
+    three points), never one point alone, which numpy would send down its
+    matrix-vector path with other rounding. Each column is reduced on its
+    own, so the bits do not depend on the blocking.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != oracle.dimension:
         raise ValueError(f"points must have width {oracle.dimension}")
-    return _rng.pairwise_mean(oracle.value_block_crn(pts, batch.seed, step, batch.size))
+    blocks = -(-pts.shape[0] // max(3, _MAX_BLOCK_DRAWS // batch.size))
+    return np.concatenate([
+        _rng.pairwise_mean(oracle.value_block_crn(block, batch.seed, step, batch.size))
+        for block in np.array_split(pts, blocks)
+    ])
 
 
 def concentration_radius(sigma: float, batch_size: int, beta: float) -> float:

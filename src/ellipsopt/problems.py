@@ -76,18 +76,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def logistic_value_grad(weights, features_row, label: float) -> tuple[float, Vector]:
-    """Single-sample cross-entropy loss and gradient (sigmoid(z) - y) x."""
-    w = _as_vector(weights)
-    x = _as_vector(features_row, w.shape[0])
-    if label not in (0, 1):
-        raise ValueError("label must be 0 or 1")
-    z = float(w @ x)
-    value = float(_softplus(np.asarray(z)) - label * z)
-    grad = (float(expit(z)) - label) * x
-    return value, grad
-
-
 class LogisticOracle(StochasticGradOracle):
     """One draw = the loss/gradient of a uniformly sampled dataset row."""
 

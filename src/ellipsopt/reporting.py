@@ -11,8 +11,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import Vector
 
 CUT_SUBGRADIENT = "subgradient"
@@ -33,7 +31,6 @@ class IterationRecord:
     index: int
     center: Vector
     feasible: bool
-    cut: Vector | None
     cut_kind: str
     f_estimate: float | None
     log_det_shape: float | None
@@ -96,31 +93,3 @@ def write_trace_csv(path, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_trace_csv(records))
 
-
-def read_trace_csv(path) -> list[IterationRecord]:
-    """Parse a trace file back into records (cut vectors are not stored)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace file") from None
-        dim = len(header) - 5
-        if dim < 1 or header != trace_header(dim):
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            records.append(
-                IterationRecord(
-                    index=int(row[0]),
-                    center=np.array([float(c) for c in row[5:]]),
-                    feasible=row[1] == "1",
-                    cut=None,
-                    cut_kind=row[2],
-                    f_estimate=None if row[3] == "" else float(row[3]),
-                    log_det_shape=None if row[4] == "" else float(row[4]),
-                )
-            )
-    return records

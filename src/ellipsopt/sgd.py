@@ -58,9 +58,7 @@ def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Sgd
     records: list[IterationRecord] = []
     for k in range(config.iterations):
         sample = minibatch_gradient(oracle, theta, batch, step=k)
-        records.append(
-            IterationRecord(k, theta, True, sample.gradient, CUT_SGD, sample.value, None)
-        )
+        records.append(IterationRecord(k, theta, True, CUT_SGD, sample.value, None))
         theta = feasible_set.project(theta - config.step_size * sample.gradient)
 
     _, point, estimate, eval_draws = _select_candidates([(len(records), theta, None)], oracle, batch)

@@ -277,9 +277,7 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             cut = sample.gradient
             estimate = sample.value
             if float(np.linalg.norm(cut)) <= plan.zero_tol:
-                records.append(
-                    IterationRecord(k, center, True, cut, CUT_ZERO_GRAD, estimate, log_det)
-                )
+                records.append(IterationRecord(k, center, True, CUT_ZERO_GRAD, estimate, log_det))
                 zero_grad_exit = (center, estimate)
                 termination = TERMINATION_ZERO_GRAD
                 break
@@ -288,7 +286,7 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             cut = feasible_set.separation_hyperplane(center)
             estimate = None
             kind = CUT_SEPARATION
-        records.append(IterationRecord(k, center, feasible, cut, kind, estimate, log_det))
+        records.append(IterationRecord(k, center, feasible, kind, estimate, log_det))
         if (
             config.certificate_stop is not None
             and feasible

@@ -156,6 +156,18 @@ class TestConfigValidation:
             with pytest.raises(InfeasibleConfigError):
                 BenchConfig(**kwargs)
 
+    def test_rejects_an_empty_sweep(self):
+        with pytest.raises(InfeasibleConfigError, match="sweep"):
+            BenchConfig(sweep=())
+        with pytest.raises(InfeasibleConfigError, match="sweep"):
+            config_from_mapping({"sweep": ","})
+
+    def test_rejects_repeated_seeds(self):
+        with pytest.raises(InfeasibleConfigError, match="repeat"):
+            BenchConfig(seeds=(0, 1, 0))
+        with pytest.raises(InfeasibleConfigError, match="repeat"):
+            config_from_mapping({"seeds": "2,2"})
+
     def test_defaults_build(self):
         cfg = BenchConfig()
         assert cfg.solvers == ("ellipsoid", "sgd")

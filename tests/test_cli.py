@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ellipsopt.bench import BenchConfig
+from ellipsopt.bench import BenchConfig, solver_config
 from ellipsopt.cli import _bench_config, build_parser, main
-from ellipsopt.problems import load_dataset_csv
+from ellipsopt.problems import LogisticProblem, generate_synthetic, load_dataset_csv
+from ellipsopt.solver import SolverConfig
 
 
 def _gen_args(tmp_path, m=200, n=3, **extra):
@@ -207,6 +208,38 @@ class TestValidate:
             main(["validate", "spin", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+_IGNORED_FLAG_CASES = [
+    ["validate", "gradcheck", "--eps", "1"],
+    ["gen-data", "--csv", "x"],
+    ["gen-data", "--batch-size", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", _IGNORED_FLAG_CASES, ids=[" ".join(c) for c in _IGNORED_FLAG_CASES])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_without_run_flags_gets_the_bench_defaults():
+    config = _bench_config(build_parser().parse_args(["solve"]))
+    assert config == dataclasses.replace(BenchConfig(), out_dir=".")
+    dataset, _ = generate_synthetic(200, 3, seed=0)
+    problem = LogisticProblem(dataset, weight_radius=config.weight_radius)
+    assert problem.feasible_set.radius == 10.0
+    assert solver_config(config, 0, problem) == SolverConfig(
+        eps=0.05, beta=0.1, sigma=problem.fitted_sigma, seed=0, batch_size=4096
+    )
+
+
+@pytest.mark.parametrize("command", ["gen-data", "solve"])
+def test_synthetic_data_below_ten_rows_exits_2(tmp_path, capsys, command):
+    assert main([command, "--m", "9", "--n", "3", "--out-dir", str(tmp_path)]) == 2
+    assert "m >= 10" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipsopt import oracles
 from ellipsopt.geometry import Ball, Box
 from ellipsopt.oracles import (
     BatchSpec,
@@ -143,6 +145,62 @@ def test_estimate_values_shares_noise_across_points():
     values = estimate_values(oracle, pts, BatchSpec(size=256, seed=0))
     # identical points get bit-identical estimates under common random numbers
     assert values[0] == values[1]
+
+
+def _recording_block_widths(oracle, widths):
+    value_block_crn = oracle.value_block_crn
+
+    def recording(points, *args):
+        widths.append(points.shape[0])
+        return value_block_crn(points, *args)
+
+    oracle.value_block_crn = recording
+
+
+def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch):
+    ds, _ = generate_synthetic(300, 55, seed=3)
+    logistic = LogisticOracle(ds.features, ds.labels)
+    batch = BatchSpec(size=4096, seed=7)
+    per_block = oracles._MAX_BLOCK_DRAWS // batch.size
+    points = np.random.default_rng(0).uniform(-0.3, 0.3, size=(2 * per_block + 1, 55))
+    widths = []
+    _recording_block_widths(logistic, widths)
+    values = estimate_values(logistic, points, batch, step=2)
+    assert len(widths) == 3
+    monkeypatch.setattr(oracles, "_MAX_BLOCK_DRAWS", batch.size * points.shape[0])
+    assert _hex(values) == _hex(estimate_values(logistic, points, batch, step=2))
+    assert widths[-1] == points.shape[0]
+
+
+def test_blocks_hold_two_to_the_cap_points(monkeypatch):
+    oracle = GaussianOracle(quad_value_grad, 2, sigma=1.0)
+    batch = BatchSpec(size=16, seed=0)
+    monkeypatch.setattr(oracles, "_MAX_BLOCK_DRAWS", 3 * batch.size)
+    points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 2))
+    widths = []
+    _recording_block_widths(oracle, widths)
+    for k in range(2, 41):
+        widths.clear()
+        estimate_values(oracle, points[:k], batch)
+        # a one-point block would take numpy's matrix-vector path
+        assert sum(widths) == k and min(widths) >= 2 and max(widths) <= 3
+
+
+def test_estimate_values_memory_stays_bounded_by_the_block_size():
+    ds, _ = generate_synthetic(300, 3, seed=1)
+    logistic = LogisticOracle(ds.features, ds.labels)
+    batch = BatchSpec(size=4096, seed=0)
+    bound = 6 * oracles._MAX_BLOCK_DRAWS * 8
+    points = np.zeros((8192, 3))
+    # one unblocked (batch x points) float64 value matrix alone exceeds the bound
+    assert batch.size * points.shape[0] * 8 > bound
+    tracemalloc.start()
+    try:
+        estimate_values(logistic, points, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_perturbed_oracle_offset_norm_and_exact_values():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ellipsopt import problems
-from ellipsopt.geometry import Ball, linear_optimality_gap
+from ellipsopt.geometry import Ball, _as_vector, linear_optimality_gap
 from ellipsopt.problems import (
     Dataset,
     DatasetFormatError,
@@ -18,13 +19,25 @@ from ellipsopt.problems import (
     fit_subgaussian_sigma,
     generate_synthetic,
     load_dataset_csv,
-    logistic_value_grad,
     save_dataset_csv,
     split_train_test,
 )
 
 SIGMOID_1 = 0.7310585786300049
 SOFTPLUS_1 = 1.3132616875182228
+
+
+def logistic_value_grad(weights, features_row, label: float):
+    """Single-sample cross-entropy loss and gradient (sigmoid(z) - y) x: the
+    per-row reference the problem and its oracle are checked against."""
+    w = _as_vector(weights)
+    x = _as_vector(features_row, w.shape[0])
+    if label not in (0, 1):
+        raise ValueError("label must be 0 or 1")
+    z = float(w @ x)
+    value = float(problems._softplus(np.asarray(z)) - label * z)
+    grad = (float(expit(z)) - label) * x
+    return value, grad
 
 
 class TestLogisticValueGrad:

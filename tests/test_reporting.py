@@ -8,7 +8,6 @@ from ellipsopt.reporting import (
     CUT_SUBGRADIENT,
     IterationRecord,
     format_float,
-    read_trace_csv,
     render_trace_csv,
     trace_header,
     write_trace_csv,
@@ -21,7 +20,6 @@ def _record(index=0, center=(0.25, -1.5), feasible=True, kind=CUT_SUBGRADIENT,
         index=index,
         center=np.array(center, dtype=np.float64),
         feasible=feasible,
-        cut=None,
         cut_kind=kind,
         f_estimate=estimate,
         log_det_shape=logdet,
@@ -62,6 +60,17 @@ def test_unknown_cut_kind_is_rejected():
         _record(kind="sideways")
 
 
+def _parse_trace(path):
+    """(index, feasible, cut_kind, f_estimate, log_det, center) per row."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    out = []
+    for line in lines[1:]:
+        k, feasible, kind, estimate, logdet, *center = line.split(",")
+        out.append((int(k), feasible == "1", kind, None if estimate == "" else float(estimate),
+                    None if logdet == "" else float(logdet), np.array([float(c) for c in center])))
+    return out
+
+
 def test_write_then_read_round_trips(tmp_path):
     records = [
         _record(0, center=(0.1, 0.2, 0.3)),
@@ -70,16 +79,15 @@ def test_write_then_read_round_trips(tmp_path):
     ]
     path = tmp_path / "trace.csv"
     write_trace_csv(path, records)
-    loaded = read_trace_csv(path)
+    loaded = _parse_trace(path)
     assert len(loaded) == 2
-    for original, parsed in zip(records, loaded):
-        assert parsed.index == original.index
-        assert parsed.feasible == original.feasible
-        assert parsed.cut_kind == original.cut_kind
-        assert parsed.f_estimate == original.f_estimate
-        assert parsed.log_det_shape == original.log_det_shape
-        np.testing.assert_array_equal(parsed.center, original.center)
-        assert parsed.cut is None
+    for original, (index, feasible, kind, estimate, logdet, center) in zip(records, loaded):
+        assert index == original.index
+        assert feasible == original.feasible
+        assert kind == original.cut_kind
+        assert estimate == original.f_estimate
+        assert logdet == original.log_det_shape
+        np.testing.assert_array_equal(center, original.center)
 
 
 def test_identical_records_render_identical_bytes(tmp_path):
@@ -89,23 +97,6 @@ def test_identical_records_render_identical_bytes(tmp_path):
     write_trace_csv(a, records)
     write_trace_csv(b, records)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_read_rejects_malformed_files(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty trace"):
-        read_trace_csv(empty)
-
-    bad_header = tmp_path / "head.csv"
-    bad_header.write_text("a,b,c,d,e,f\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unexpected trace header"):
-        read_trace_csv(bad_header)
-
-    short_row = tmp_path / "short.csv"
-    short_row.write_text("k,feasible,cut_kind,f_estimate,logdet_H,c0\n1,1,subgradient\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":2:"):
-        read_trace_csv(short_row)
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,7 +117,6 @@ def test_round_trip_preserves_floats_bit_for_bit(tmp_path_factory, rows):
             index=i,
             center=np.array([a, b]),
             feasible=flag,
-            cut=None,
             cut_kind=CUT_SUBGRADIENT if flag else CUT_SEPARATION,
             f_estimate=a,
             log_det_shape=b,
@@ -135,8 +125,8 @@ def test_round_trip_preserves_floats_bit_for_bit(tmp_path_factory, rows):
     ]
     path = tmp_path_factory.mktemp("trace") / "t.csv"
     write_trace_csv(path, records)
-    loaded = read_trace_csv(path)
-    for original, parsed in zip(records, loaded):
-        np.testing.assert_array_equal(parsed.center, original.center)
-        assert parsed.f_estimate == original.f_estimate
-        assert parsed.log_det_shape == original.log_det_shape
+    loaded = _parse_trace(path)
+    for original, (*_, estimate, logdet, center) in zip(records, loaded):
+        np.testing.assert_array_equal(center, original.center)
+        assert estimate == original.f_estimate
+        assert logdet == original.log_det_shape

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ellipsopt.geometry import Ball, Box
-from ellipsopt.oracles import GaussianOracle
+from ellipsopt.oracles import BatchSpec, GaussianOracle, minibatch_gradient
 from ellipsopt.problems import QuadraticProblem
 from ellipsopt.sgd import SgdConfig, default_step_grid, sgd_run
 
@@ -69,7 +69,8 @@ def test_reports_the_last_iterate_deterministically():
     # the reported point is the step after the last recorded iterate,
     # scored on one fresh batch of batch_size draws
     last = a.records[-1]
-    assert np.array_equal(a.best_point, ball.project(last.center - 0.1 * last.cut))
+    step = minibatch_gradient(oracle, last.center, BatchSpec(8, 5), step=last.index).gradient
+    assert np.array_equal(a.best_point, ball.project(last.center - 0.1 * step))
     assert a.eval_batch_size == 8 and a.eval_draws == 8
 
 
