@@ -3,14 +3,12 @@ stochastic convex optimization."""
 
 from .geometry import (
     Ball,
-    BoundingBall,
     Box,
     DegenerateEllipsoidError,
     Ellipsoid,
     FeasibleSet,
     ellipsoid_step,
     linear_optimality_gap,
-    log_det_shift,
     shape_det_ratio,
 )
 from .oracles import (

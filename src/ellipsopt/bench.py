@@ -165,7 +165,6 @@ class SeedOutcome:
 
 @dataclass
 class ExperimentOutcome:
-    config: BenchConfig
     seed_outcomes: list[SeedOutcome]
     ordering_ok: bool
     trace_paths: list[Path]
@@ -483,7 +482,6 @@ def run_experiment(config: BenchConfig) -> ExperimentOutcome:
     manifest_path.write_text(render_manifest(config, outcomes, ordering_ok), encoding="utf-8")
 
     return ExperimentOutcome(
-        config=config,
         seed_outcomes=outcomes,
         ordering_ok=bool(ordering_ok) if ordering_ok is not None else True,
         trace_paths=trace_paths,

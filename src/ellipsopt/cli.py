@@ -183,6 +183,9 @@ def main(argv=None) -> int:
     except (InfeasibleConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}; a smaller --batch-size needs less", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

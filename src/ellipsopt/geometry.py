@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TypeAlias
 
 import numpy as np
@@ -28,12 +27,6 @@ _DEGENERACY_RTOL = 1e-14
 
 class DegenerateEllipsoidError(RuntimeError):
     """Raised when a cut direction carries no extent in the current ellipsoid."""
-
-
-@dataclass(frozen=True)
-class BoundingBall:
-    center: Vector
-    radius: float
 
 
 def _as_vector(x, dim: int | None = None) -> Vector:
@@ -76,23 +69,11 @@ class Ellipsoid:
         except np.linalg.LinAlgError as exc:
             raise ValueError("shape matrix must be positive definite") from exc
 
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
-
     def log_det_shape(self) -> float:
         sign, logdet = np.linalg.slogdet(self.shape)
         if sign <= 0:
             raise DegenerateEllipsoidError("shape matrix lost positive definiteness")
         return float(logdet)
-
-
-def log_det_shift(dim: int) -> float:
-    """Exact change of log det(H) produced by one cut step in ``dim`` dimensions."""
-    n = dim
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    return n * np.log(n * n / (n * n - 1.0)) + np.log((n - 1.0) / (n + 1.0))
 
 
 def shape_det_ratio(dim: int) -> float:
@@ -139,7 +120,7 @@ class FeasibleSet(ABC):
 
     @property
     @abstractmethod
-    def bounding_ball(self) -> BoundingBall:
+    def bounding_ball(self) -> Ball:
         """A ball containing the set; the solver's starting ellipsoid."""
 
     @property
@@ -197,10 +178,10 @@ class Box(FeasibleSet):
         return self.lower.shape[0]
 
     @property
-    def bounding_ball(self) -> BoundingBall:
+    def bounding_ball(self) -> Ball:
         center = 0.5 * (self.lower + self.upper)
         radius = float(np.linalg.norm(0.5 * (self.upper - self.lower)))
-        return BoundingBall(center=center, radius=radius)
+        return Ball(center, radius)
 
     @property
     def inner_radius(self) -> float:
@@ -263,8 +244,8 @@ class Ball(FeasibleSet):
         return self.center.shape[0]
 
     @property
-    def bounding_ball(self) -> BoundingBall:
-        return BoundingBall(center=self.center.copy(), radius=self.radius)
+    def bounding_ball(self) -> Ball:
+        return Ball(self.center.copy(), self.radius)
 
     @property
     def inner_radius(self) -> float:

@@ -134,10 +134,7 @@ class LogisticProblem:
         return losses.mean(axis=0)
 
     def gradient(self, weights) -> Vector:
-        w = _as_vector(weights, self.dimension)
-        z = self.dataset.features @ w
-        residual = expit(z) - self.dataset.labels
-        return self.dataset.features.T @ residual / self.dataset.size
+        return self.objective_and_gradient(weights)[1]
 
     def objective_and_gradient(self, weights) -> tuple[float, Vector]:
         w = _as_vector(weights, self.dimension)
@@ -184,11 +181,10 @@ class QuadraticProblem:
     feasible_set: FeasibleSet
 
     def objective(self, x) -> float:
-        d = _as_vector(x, self.feasible_set.dimension) - self.target
-        return float(d @ d)
+        return self.objective_and_gradient(x)[0]
 
     def gradient(self, x) -> Vector:
-        return 2.0 * (_as_vector(x, self.feasible_set.dimension) - self.target)
+        return self.objective_and_gradient(x)[1]
 
     def objective_and_gradient(self, x) -> tuple[float, Vector]:
         d = _as_vector(x, self.feasible_set.dimension) - self.target

@@ -7,8 +7,6 @@ in shortest round-trip form, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .geometry import Vector
@@ -80,13 +78,10 @@ def render_trace_csv(records) -> str:
     records = list(records)
     if not records:
         raise ValueError("cannot render an empty trace")
-    dim = records[0].center.shape[0]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(trace_header(dim))
-    for record in records:
-        writer.writerow(_record_row(record))
-    return buffer.getvalue()
+    # no field can need quoting: integers, 0/1, the fixed cut kinds, repr floats, empty cells
+    lines = [",".join(trace_header(records[0].center.shape[0]))]
+    lines.extend(",".join(_record_row(r)) for r in records)
+    return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(path, records) -> None:

@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellipsopt
 from ellipsopt.bench import BenchConfig, solver_config
 from ellipsopt.cli import _bench_config, build_parser, main
 from ellipsopt.problems import LogisticProblem, generate_synthetic, load_dataset_csv
@@ -247,3 +253,45 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the README's experiment commands and the config each one runs
+_README_BENCH_CASES = [
+    ("--n 20 --seeds 0,1,2 --out-dir bench-out/n20",
+     BenchConfig(m=50_000, n=20, seeds=(0, 1, 2), out_dir="bench-out/n20")),
+    ("--n 55 --out-dir bench-out/n55",
+     BenchConfig(m=50_000, n=55, seeds=(0,), out_dir="bench-out/n55")),
+    ("--m 4000 --n 5 --seeds 0 --batch-size 512 --max-iters 400 --sgd-iterations 400 "
+     "--out-dir bench-out/quick",
+     BenchConfig(m=4_000, n=5, seeds=(0,), batch_size=512, max_iters=400, sgd_iterations=400,
+                 out_dir="bench-out/quick")),
+]
+
+
+@pytest.mark.parametrize("flags, expected", _README_BENCH_CASES, ids=["n20", "n55", "quick"])
+def test_readme_bench_commands_build_the_documented_configs(flags, expected):
+    assert f"ellipsopt bench {flags}" in README.read_text(encoding="utf-8")
+    assert _bench_config(build_parser().parse_args(["bench", *flags.split()])) == expected
+
+
+def _limit_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    # the derived theory batch at m=300, n=3 (about 2.1e8 draws) needs a
+    # 3 GiB draw buffer; only the child process gets the 2 GiB limit
+    src = str(Path(ellipsopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ellipsopt.cli", "solve", "--m", "300", "--n", "3",
+            "--max-iters", "1", "--batch-size", "0", "--out-dir", str(tmp_path)]
+    run = subprocess.run(argv, env=env, preexec_fn=_limit_address_space,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: out of memory")
+    assert run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr

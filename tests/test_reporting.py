@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from ellipsopt.reporting import (
     CUT_SEPARATION,
     CUT_SUBGRADIENT,
+    TRACE_CUT_KINDS,
     IterationRecord,
     format_float,
     render_trace_csv,
@@ -130,3 +134,35 @@ def test_round_trip_preserves_floats_bit_for_bit(tmp_path_factory, rows):
         np.testing.assert_array_equal(center, original.center)
         assert estimate == original.f_estimate
         assert logdet == original.log_det_shape
+
+
+def _csv_module_render(records):
+    """The trace as the csv module writes it: the reference for render_trace_csv."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(trace_header(records[0].center.shape[0]))
+    for r in records:
+        writer.writerow([
+            str(r.index),
+            "1" if r.feasible else "0",
+            r.cut_kind,
+            "" if r.f_estimate is None else format_float(r.f_estimate),
+            "" if r.log_det_shape is None else format_float(r.log_det_shape),
+            *(format_float(c) for c in r.center),
+        ])
+    return buffer.getvalue()
+
+
+def test_render_writes_the_csv_module_bytes():
+    odd = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1.0 / 3.0)
+    records = [
+        _record(i, center=(odd[i % len(odd)], odd[(i + 1) % len(odd)], 1e300), kind=kind,
+                feasible=kind != CUT_SEPARATION, estimate=None if i % 2 else odd[i % len(odd)],
+                logdet=None if i % 3 == 0 else odd[(i + 2) % len(odd)])
+        for i, kind in enumerate(TRACE_CUT_KINDS * 3)
+    ]
+    text = render_trace_csv(records)
+    assert text == _csv_module_render(records)
+    assert ",," in text
+    assert all(v in text for v in ("-0.0", "nan", "inf", "5e-324"))
+    assert all(kind in text for kind in TRACE_CUT_KINDS)

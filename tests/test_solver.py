@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsopt.geometry import Ball, Box, log_det_shift
+from ellipsopt.geometry import Ball, Box, shape_det_ratio
 from ellipsopt.oracles import BatchSpec, GaussianOracle
 from ellipsopt.problems import LinearProblem, QuadraticProblem
 from ellipsopt.reporting import (
@@ -88,7 +88,7 @@ def test_trace_logdet_follows_fixed_shift():
     problem = QuadraticProblem(np.array([0.2, 0.1, -0.4]), ball)
     oracle = GaussianOracle(problem.objective_and_gradient, 3, sigma=0.0)
     report = solve(oracle, ball, SolverConfig(eps=1e-3, sigma=0.0, seed=0))
-    shift = log_det_shift(3)
+    shift = math.log(shape_det_ratio(3))
     lds = [rec.log_det_shape for rec in report.records]
     for prev, cur in zip(lds, lds[1:]):
         assert cur - prev == pytest.approx(shift, abs=1e-8)
