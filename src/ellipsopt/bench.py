@@ -34,8 +34,9 @@ from .reporting import SolverReport, format_float, write_trace_csv
 from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import SolverConfig, resolve_plan, solve
 
-SOLVER_NAMES = ("ellipsoid", "sgd")
 THRESHOLDS = (1e-1, 1e-2, 1e-3)
+# iterates per full test-set pass in iterate_test_curve
+_TEST_CURVE_CHUNK = 512
 
 SUMMARY_COLUMNS = [
     "solver", "seed", "step_size", "batch_size", "iterations",
@@ -63,13 +64,11 @@ class BenchConfig:
     n: int = 20
     csv: str | None = None
     intercept: bool = True
-    solvers: tuple[str, ...] = ("ellipsoid", "sgd")
     seeds: tuple[int, ...] = (0,)
     eps: float = 0.05
     beta: float = 0.1
     sigma: float | None = None
     batch_size: int | None = 4096
-    eval_batch_size: int | None = None
     max_iters: int | None = None
     sgd_batch_size: int = 16
     sgd_iterations: int | None = None
@@ -81,11 +80,6 @@ class BenchConfig:
     out_dir: str = "bench-out"
 
     def __post_init__(self) -> None:
-        if not self.solvers:
-            raise InfeasibleConfigError("select at least one solver")
-        bad = [s for s in self.solvers if s not in SOLVER_NAMES]
-        if bad:
-            raise InfeasibleConfigError(f"unknown solver(s) {bad}; choose from {SOLVER_NAMES}")
         if not self.seeds:
             raise InfeasibleConfigError("provide at least one seed")
         if any(s < 0 for s in self.seeds):
@@ -102,7 +96,7 @@ class BenchConfig:
             raise InfeasibleConfigError("test fraction must lie strictly inside (0, 1)")
         if self.workers < 1:
             raise InfeasibleConfigError("worker count must be at least 1")
-        for name in ("batch_size", "eval_batch_size", "max_iters", "sgd_iterations"):
+        for name in ("batch_size", "max_iters", "sgd_iterations"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise InfeasibleConfigError(f"{name} must be at least 1 when given")
@@ -160,7 +154,7 @@ class SeedOutcome:
     theory_batch_size: int | None
     sweep: tuple[float, ...]
     rows: list[RunRow] = field(default_factory=list)
-    ordering_ok: bool | None = None
+    ordering_ok: bool = False
 
 
 @dataclass
@@ -200,12 +194,12 @@ def running_best_test_curve(records, test_problem: LogisticProblem) -> np.ndarra
     return out
 
 
-def iterate_test_curve(records, test_problem: LogisticProblem, chunk: int = 512) -> np.ndarray:
+def iterate_test_curve(records, test_problem: LogisticProblem) -> np.ndarray:
     """Test loss of every recorded iterate (SGD's anytime output)."""
     centers = np.vstack([rec.center for rec in records])
     parts = [
-        test_problem.objective_many(centers[lo : lo + chunk])
-        for lo in range(0, centers.shape[0], chunk)
+        test_problem.objective_many(centers[lo : lo + _TEST_CURVE_CHUNK])
+        for lo in range(0, centers.shape[0], _TEST_CURVE_CHUNK)
     ]
     return np.concatenate(parts)
 
@@ -226,7 +220,6 @@ def solver_config(config: BenchConfig, seed: int, problem: LogisticProblem) -> S
         sigma=config.sigma if config.sigma is not None else problem.fitted_sigma,
         seed=seed,
         batch_size=config.batch_size,
-        eval_batch_size=config.eval_batch_size,
         max_iterations=config.max_iters,
     )
 
@@ -285,46 +278,36 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
             )
         )
 
-    if "ellipsoid" in config.solvers:
-        run_row("ellipsoid", None, lambda: solve(oracle, ball, solver_cfg), running_best_test_curve)
+    run_row("ellipsoid", None, lambda: solve(oracle, ball, solver_cfg), running_best_test_curve)
+    for alpha in sweep:
+        sgd_cfg = SgdConfig(
+            step_size=alpha,
+            iterations=sgd_iters,
+            batch_size=config.sgd_batch_size,
+            seed=seed,
+        )
+        run_row("sgd", alpha, lambda: sgd_run(oracle, ball, sgd_cfg), iterate_test_curve)
 
-    if "sgd" in config.solvers:
-        for alpha in sweep:
-            sgd_cfg = SgdConfig(
-                step_size=alpha,
-                iterations=sgd_iters,
-                batch_size=config.sgd_batch_size,
-                seed=seed,
-            )
-            run_row("sgd", alpha, lambda: sgd_run(oracle, ball, sgd_cfg), iterate_test_curve)
-
-    outcome.ordering_ok = _check_ordering(outcome, config)
+    outcome.ordering_ok = _check_ordering(outcome)
     return outcome
 
 
-def _check_ordering(outcome: SeedOutcome, config: BenchConfig) -> bool | None:
+def _check_ordering(outcome: SeedOutcome) -> bool:
     """Cut solver must hit f*+1e-2 in strictly fewer iterations than every
-    SGD configuration; None when only one solver ran (nothing to compare)."""
-    if not ("ellipsoid" in config.solvers and "sgd" in config.solvers):
-        return None
+    SGD configuration."""
     target = next(r for r in outcome.rows if r.solver == "ellipsoid").crossings[1]
-    if target is None:
-        return False
-    return all(r.crossings[1] is None or target < r.crossings[1]
-               for r in outcome.rows if r.solver == "sgd")
+    return target is not None and all(r.crossings[1] is None or target < r.crossings[1]
+                                      for r in outcome.rows if r.solver == "sgd")
 
 
-def _best_sgd_row(rows: list[RunRow]) -> RunRow | None:
+def _best_sgd_row(rows: list[RunRow]) -> RunRow:
     """The sweep configuration whose trace gets archived: earliest to the
     1e-2 threshold, then earliest to 1e-3, then lowest final test loss."""
-    candidates = [r for r in rows if r.solver == "sgd"]
-    if not candidates:
-        return None
     def key(r: RunRow):
         c2 = math.inf if r.crossings[1] is None else r.crossings[1]
         c3 = math.inf if r.crossings[2] is None else r.crossings[2]
         return (c2, c3, r.final_test_loss)
-    return min(candidates, key=key)
+    return min((r for r in rows if r.solver == "sgd"), key=key)
 
 
 def render_summary_csv(rows: list[RunRow]) -> str:
@@ -355,15 +338,19 @@ _VALUE_KINDS = {
     "tuple[int, ...]": (lambda s: tuple(int(p) for p in _split(s)), lambda v: ",".join(map(str, v))),
     "tuple[float, ...]": (lambda s: tuple(float(p) for p in _split(s)),
                           lambda v: ",".join(map(format_float, v))),
-    "tuple[str, ...]": (lambda s: tuple(_split(s)), ",".join),
 }
 # key -> (parse, format, derivable); the int | None keys read 0 as "derive it"
 _SCHEMA = {
     f.name: (*_VALUE_KINDS[f.type.removesuffix(" | None")], f.type == "int | None")
     for f in dataclasses.fields(BenchConfig)
 }
-# keys that manifests of earlier versions carry and that no longer do anything
-_RETIRED_KEYS = {"parallel_seeds"}
+# keys older manifests carry -> (the values that still load, a test for them). Only a
+# value meaning what the code now always does loads: no old manifest reruns another experiment
+_RETIRED_KEYS = {
+    "parallel_seeds": ("any value", lambda v: True),
+    "solvers": ("ellipsoid,sgd", lambda v: v == "" or sorted(_split(v)) == ["ellipsoid", "sgd"]),
+    "eval_batch_size": ("0", lambda v: v in ("", "0")),
+}
 
 
 def read_key_value_file(path) -> dict[str, str]:
@@ -385,13 +372,18 @@ def config_from_mapping(mapping: dict[str, str]) -> BenchConfig:
     """Build a config from string key=value pairs (file or CLI supplied).
 
     Keys outside the config schema are ignored when prefixed with
-    "resolved." or "result." (manifest echo lines) or when retired
-    (``parallel_seeds``); anything else unknown is an error. Empty values
-    mean "use the default / derive it".
+    "resolved." or "result." (manifest echo lines), and so are retired keys
+    (``_RETIRED_KEYS``) at a value that still loads; anything else unknown
+    is an error. Empty values mean "use the default / derive it".
     """
     kwargs: dict[str, object] = {}
     for key, value in mapping.items():
-        if key.startswith(("resolved.", "result.")) or key in _RETIRED_KEYS:
+        if key.startswith(("resolved.", "result.")):
+            continue
+        if key in _RETIRED_KEYS:
+            accepted, loads = _RETIRED_KEYS[key]
+            if not loads(value):
+                raise ValueError(f"config key {key} is retired and loads only as {accepted}, got {value!r}")
             continue
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
@@ -419,7 +411,7 @@ def _config_items(config: BenchConfig) -> list[tuple[str, str]]:
     return items
 
 
-def render_manifest(config: BenchConfig, outcomes: list[SeedOutcome], ordering_ok: bool | None) -> str:
+def render_manifest(config: BenchConfig, outcomes: list[SeedOutcome], ordering_ok: bool) -> str:
     lines = ["# experiment manifest: the key=value lines below rerun this",
              "# experiment byte-identically via --config (resolved.* and",
              "# result.* lines are informational echoes and are ignored)"]
@@ -435,10 +427,8 @@ def render_manifest(config: BenchConfig, outcomes: list[SeedOutcome], ordering_o
         lines.append(f"{p}.f_star_train={format_float(oc.f_star_train)}")
         lines.append(f"{p}.f_star_gap={format_float(oc.f_star_gap)}")
         lines.append(f"{p}.f_star_test={format_float(oc.f_star_test)}")
-        if oc.ordering_ok is not None:
-            lines.append(f"result.seed{oc.seed}.ordering_ok={'true' if oc.ordering_ok else 'false'}")
-    if ordering_ok is not None:
-        lines.append(f"result.ordering_ok={'true' if ordering_ok else 'false'}")
+        lines.append(f"result.seed{oc.seed}.ordering_ok={'true' if oc.ordering_ok else 'false'}")
+    lines.append(f"result.ordering_ok={'true' if ordering_ok else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -460,30 +450,22 @@ def run_experiment(config: BenchConfig) -> ExperimentOutcome:
     trace_paths: list[Path] = []
     all_rows: list[RunRow] = []
     for oc in outcomes:
-        for row in oc.rows:
-            all_rows.append(row)
-        ell = [r for r in oc.rows if r.solver == "ellipsoid"]
-        if ell:
-            path = out_dir / f"ellipsoid-seed{oc.seed}.csv"
-            write_trace_csv(path, ell[0].report.records)
-            trace_paths.append(path)
-        best = _best_sgd_row(oc.rows)
-        if best is not None:
-            path = out_dir / f"sgd-seed{oc.seed}.csv"
-            write_trace_csv(path, best.report.records)
+        all_rows.extend(oc.rows)
+        for row in (next(r for r in oc.rows if r.solver == "ellipsoid"), _best_sgd_row(oc.rows)):
+            path = out_dir / f"{row.solver}-seed{oc.seed}.csv"
+            write_trace_csv(path, row.report.records)
             trace_paths.append(path)
 
     summary_path = out_dir / "summary.csv"
     summary_path.write_text(render_summary_csv(all_rows), encoding="utf-8")
 
-    verdicts = [oc.ordering_ok for oc in outcomes if oc.ordering_ok is not None]
-    ordering_ok = all(verdicts) if verdicts else None
+    ordering_ok = all(oc.ordering_ok for oc in outcomes)
     manifest_path = out_dir / "manifest.txt"
     manifest_path.write_text(render_manifest(config, outcomes, ordering_ok), encoding="utf-8")
 
     return ExperimentOutcome(
         seed_outcomes=outcomes,
-        ordering_ok=bool(ordering_ok) if ordering_ok is not None else True,
+        ordering_ok=ordering_ok,
         trace_paths=trace_paths,
         summary_path=summary_path,
         manifest_path=manifest_path,

@@ -126,15 +126,20 @@ def estimate_values(
     ])
 
 
+def _concentration_constant(beta: float) -> float:
+    """sqrt(2) + sqrt(6 ln(1/beta)), the constant both concentration bounds share."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie strictly inside (0, 1)")
+    return math.sqrt(2.0) + math.sqrt(6.0 * math.log(1.0 / beta))
+
+
 def concentration_radius(sigma: float, batch_size: int, beta: float) -> float:
     """Deviation radius the batch mean respects with probability >= 1 - beta."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly inside (0, 1)")
-    return (math.sqrt(2.0) + math.sqrt(6.0 * math.log(1.0 / beta))) * sigma / math.sqrt(batch_size)
+    return _concentration_constant(beta) * sigma / math.sqrt(batch_size)
 
 
 def required_batch_size(sigma: float, diameter: float, eps: float, beta_per_call: float) -> int:
@@ -145,11 +150,10 @@ def required_batch_size(sigma: float, diameter: float, eps: float, beta_per_call
         raise ValueError("diameter must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not 0.0 < beta_per_call < 1.0:
-        raise ValueError("beta must lie strictly inside (0, 1)")
+    constant = _concentration_constant(beta_per_call)
     if sigma == 0.0:
         return 1
-    root = 2.0 * sigma * diameter * (math.sqrt(2.0) + math.sqrt(6.0 * math.log(1.0 / beta_per_call))) / eps
+    root = 2.0 * sigma * diameter * constant / eps
     size = root * root
     if not size < 2.0**53:
         raise ValueError(

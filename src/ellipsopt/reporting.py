@@ -46,7 +46,6 @@ class SolverReport:
     best_estimate: float
     iterations: int
     batch_size: int
-    eval_batch_size: int
     records: tuple[IterationRecord, ...]
     termination: str
     # exact sample accounting: draws spent on gradient batches vs on

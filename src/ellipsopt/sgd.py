@@ -67,7 +67,6 @@ def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Sgd
         best_estimate=estimate,
         iterations=len(records),
         batch_size=config.batch_size,
-        eval_batch_size=config.batch_size,
         records=tuple(records),
         termination=TERMINATION_BUDGET,
         grad_draws=len(records) * config.batch_size,

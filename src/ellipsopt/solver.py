@@ -10,7 +10,7 @@ For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
 the batch size chosen so each gradient estimate is an (eps/2)-subgradient
 with per-call failure probability beta / (2 N). ``resolve_plan`` fixes B, N
-and the batch sizes before the first step.
+and the batch size before the first step.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class SolverConfig:
     seed: int = 0
     workers: int = 1
     batch_size: int | None = None
-    eval_batch_size: int | None = None
     max_iterations: int | None = None
     value_range: float | None = None
     certificate_stop: float | None = None
@@ -99,7 +98,7 @@ class SolverConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        for name in ("batch_size", "eval_batch_size", "max_iterations"):
+        for name in ("batch_size", "max_iterations"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be at least 1 when given")
@@ -114,7 +113,6 @@ class Plan:
     value_range: float
     iterations: int
     batch_size: int
-    eval_batch_size: int
     # the batch size the guarantee asks for; None when it exceeds 2^53
     theory_batch_size: int | None
     zero_tol: float
@@ -176,7 +174,7 @@ def estimate_value_range(
 def resolve_plan(
     oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig
 ) -> Plan:
-    """B, N, the batch sizes and the zero-gradient tolerance of one run.
+    """B, N, the batch size and the zero-gradient tolerance of one run.
 
     Fields given in the config win. Otherwise B comes from the seeded range
     probe, N from ``iteration_budget`` and the batch size from
@@ -200,12 +198,10 @@ def resolve_plan(
         if config.batch_size is None:
             raise
         theory_batch = None
-    batch_size = config.batch_size if config.batch_size is not None else theory_batch
     return Plan(
         value_range=value_range,
         iterations=iterations,
-        batch_size=batch_size,
-        eval_batch_size=config.eval_batch_size if config.eval_batch_size is not None else batch_size,
+        batch_size=config.batch_size if config.batch_size is not None else theory_batch,
         theory_batch_size=theory_batch,
         zero_tol=_ZERO_GRAD_RTOL * value_range / diameter,
     )
@@ -214,7 +210,7 @@ def resolve_plan(
 def _select_candidates(
     candidates: list[tuple[int, Vector, float | None]],
     oracle: StochasticGradOracle,
-    eval_batch: BatchSpec,
+    batch: BatchSpec,
 ) -> tuple[int, Vector, float, int]:
     """Pick the candidate with the lowest estimated objective.
 
@@ -230,15 +226,15 @@ def _select_candidates(
         missing = [c for c in candidates if c[2] is None]
         if missing:
             points = np.vstack([c[1] for c in missing])
-            filled = estimate_values(oracle, points, BatchSpec(1, eval_batch.seed), step=_SELECTION_STEP)
+            filled = estimate_values(oracle, points, BatchSpec(1, batch.seed), step=_SELECTION_STEP)
             known += [(idx, pt, float(v)) for (idx, pt, _), v in zip(missing, filled)]
         known.sort(key=lambda c: (c[2], c[0]))
         idx, point, value = known[0]
         return idx, point, float(value), len(missing)
     points = np.vstack([c[1] for c in candidates])
-    values = estimate_values(oracle, points, eval_batch, step=_SELECTION_STEP)
+    values = estimate_values(oracle, points, batch, step=_SELECTION_STEP)
     order = int(np.lexsort((np.array([c[0] for c in candidates]), values))[0])
-    draws = len(candidates) * eval_batch.size
+    draws = len(candidates) * batch.size
     return candidates[order][0], candidates[order][1], float(values[order]), draws
 
 
@@ -258,7 +254,6 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
         raise ValueError("certificate_stop requires a deterministic oracle")
     plan = resolve_plan(oracle, feasible_set, config)
     batch = BatchSpec(size=plan.batch_size, seed=config.seed)
-    eval_batch = BatchSpec(size=plan.eval_batch_size, seed=config.seed)
     ball = feasible_set.bounding_ball
     ellipsoid = Ellipsoid(ball.center, ball.radius * ball.radius * np.eye(n))
 
@@ -309,13 +304,12 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
         if feasible_set.contains(final_center):
             # the last update's center competes too, even without an oracle call
             candidates.append((len(records), final_center, None))
-        _, point, estimate, eval_draws = _select_candidates(candidates, oracle, eval_batch)
+        _, point, estimate, eval_draws = _select_candidates(candidates, oracle, batch)
     return SolverReport(
         best_point=point,
         best_estimate=estimate,
         iterations=len(records),
         batch_size=plan.batch_size,
-        eval_batch_size=plan.eval_batch_size,
         records=tuple(records),
         termination=termination,
         grad_draws=grad_draws,

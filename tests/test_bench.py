@@ -57,7 +57,7 @@ def _row(solver, crossings, step=0.1, final=0.5, report="stub"):
 
 
 def _manifest_mapping(config: BenchConfig) -> dict[str, str]:
-    text = render_manifest(config, [], None)
+    text = render_manifest(config, [], True)
     return dict(line.partition("=")[::2] for line in text.splitlines() if not line.startswith("#"))
 
 
@@ -88,29 +88,21 @@ class TestOrderingVerdict:
             _row("sgd", (2, 10, None)),
             _row("sgd", (2, None, None)),
         ])
-        cfg = BenchConfig(solvers=("ellipsoid", "sgd"))
-        assert _check_ordering(oc, cfg) is True
+        assert _check_ordering(oc) is True
 
     def test_tie_fails(self):
         oc = self._outcome([
             _row("ellipsoid", (1, 3, None)),
             _row("sgd", (2, 3, None)),
         ])
-        cfg = BenchConfig(solvers=("ellipsoid", "sgd"))
-        assert _check_ordering(oc, cfg) is False
+        assert _check_ordering(oc) is False
 
     def test_unreached_target_fails(self):
         oc = self._outcome([
             _row("ellipsoid", (1, None, None)),
             _row("sgd", (2, 10, None)),
         ])
-        cfg = BenchConfig(solvers=("ellipsoid", "sgd"))
-        assert _check_ordering(oc, cfg) is False
-
-    def test_single_solver_is_not_compared(self):
-        oc = self._outcome([_row("ellipsoid", (1, 3, None))])
-        cfg = BenchConfig(solvers=("ellipsoid",))
-        assert _check_ordering(oc, cfg) is None
+        assert _check_ordering(oc) is False
 
 
 class TestBestSgdRow:
@@ -130,17 +122,12 @@ class TestBestSgdRow:
         ]
         assert _best_sgd_row(rows).final_test_loss == 0.4
 
-    def test_skips_non_sgd_rows(self):
-        assert _best_sgd_row([_row("ellipsoid", (1, 2, 3))]) is None
-
 
 class TestConfigValidation:
     def test_rejects_bad_inputs_before_running(self):
         cases = [
             dict(seeds=()),
             dict(seeds=(-1,)),
-            dict(solvers=()),
-            dict(solvers=("newton",)),
             dict(eps=0.0),
             dict(beta=1.0),
             dict(m=5),
@@ -155,6 +142,14 @@ class TestConfigValidation:
         for kwargs in cases:
             with pytest.raises(InfeasibleConfigError):
                 BenchConfig(**kwargs)
+        # retired keys at a value other than their old default
+        for key, value in [
+            ("solvers", "ellipsoid"), ("solvers", "sgd"), ("solvers", "ellipsoid,ellipsoid"),
+            ("solvers", "ellipsoid,sgd,newton"), ("eval_batch_size", "33"),
+            ("eval_batch_size", "4096"),
+        ]:
+            with pytest.raises(ValueError, match=f"config key {key} is retired"):
+                config_from_mapping({key: value})
 
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(InfeasibleConfigError, match="sweep"):
@@ -170,7 +165,6 @@ class TestConfigValidation:
 
     def test_defaults_build(self):
         cfg = BenchConfig()
-        assert cfg.solvers == ("ellipsoid", "sgd")
         assert cfg.seeds == (0,)
 
 
@@ -190,8 +184,7 @@ class TestKeyValueFile:
 class TestConfigFromMapping:
     def test_parses_every_value_kind(self):
         cfg = config_from_mapping({
-            "m": "500", "n": "4", "intercept": "false",
-            "solvers": "ellipsoid,sgd", "seeds": "0,1,2",
+            "m": "500", "n": "4", "intercept": "false", "seeds": "0,1,2",
             "eps": "0.1", "sweep": "0.01,0.1", "csv": "data.csv",
         })
         assert cfg.m == 500
@@ -202,11 +195,9 @@ class TestConfigFromMapping:
 
     def test_zero_means_derive_for_batch_and_iteration_knobs(self):
         cfg = config_from_mapping({
-            "batch_size": "0", "eval_batch_size": "0",
-            "max_iters": "0", "sgd_iterations": "0",
+            "batch_size": "0", "max_iters": "0", "sgd_iterations": "0",
         })
         assert cfg.batch_size is None
-        assert cfg.eval_batch_size is None
         assert cfg.max_iters is None
         assert cfg.sgd_iterations is None
 
@@ -224,6 +215,14 @@ class TestConfigFromMapping:
             "m": "200", "resolved.seed0.sigma": "1.5", "result.ordering_ok": "true",
         })
         assert cfg.m == 200
+
+    def test_retired_keys_load_at_the_value_the_code_now_uses(self):
+        for key, value in [
+            ("parallel_seeds", "true"), ("parallel_seeds", "false"),
+            ("solvers", "ellipsoid,sgd"), ("solvers", " sgd , ellipsoid"), ("solvers", ""),
+            ("eval_batch_size", "0"), ("eval_batch_size", ""),
+        ]:
+            assert config_from_mapping({key: value, "m": "200"}) == BenchConfig(m=200)
 
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -306,9 +305,9 @@ class TestRunExperiment:
         derive = BenchConfig(batch_size=None, max_iters=None, sigma=None, out_dir="x")
         # every field differs from its default
         full = BenchConfig(
-            m=123, n=7, csv="data/x.csv", intercept=False, solvers=("sgd", "ellipsoid"),
+            m=123, n=7, csv="data/x.csv", intercept=False,
             seeds=(3, 1), eps=0.125, beta=0.25, sigma=1.5, batch_size=77,
-            eval_batch_size=33, max_iters=44, sgd_batch_size=5, sgd_iterations=66,
+            max_iters=44, sgd_batch_size=5, sgd_iterations=66,
             sweep=(0.001, 0.5, 1e-07), test_fraction=0.3, weight_radius=2.5,
             erm_tol=1e-05, workers=3, out_dir="some/dir",
         )
@@ -318,15 +317,16 @@ class TestRunExperiment:
         assert config_from_mapping(mapping) == derive
         assert config_from_mapping(_manifest_mapping(full)) == full
         # pins the manifest's bytes and key order
-        assert render_manifest(full, [], None) == (
+        assert render_manifest(full, [], True) == (
             "# experiment manifest: the key=value lines below rerun this\n"
             "# experiment byte-identically via --config (resolved.* and\n"
             "# result.* lines are informational echoes and are ignored)\n"
-            "m=123\nn=7\ncsv=data/x.csv\nintercept=false\nsolvers=sgd,ellipsoid\n"
+            "m=123\nn=7\ncsv=data/x.csv\nintercept=false\n"
             "seeds=3,1\neps=0.125\nbeta=0.25\nsigma=1.5\nbatch_size=77\n"
-            "eval_batch_size=33\nmax_iters=44\nsgd_batch_size=5\nsgd_iterations=66\n"
+            "max_iters=44\nsgd_batch_size=5\nsgd_iterations=66\n"
             "sweep=0.001,0.5,1e-07\ntest_fraction=0.3\nweight_radius=2.5\n"
             "erm_tol=1e-05\nworkers=3\nout_dir=some/dir\n"
+            "result.ordering_ok=true\n"
         )
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
@@ -353,15 +353,6 @@ class TestRunExperiment:
             run_experiment(config)
         assert not out.exists()
 
-    def test_single_solver_run_skips_the_comparison(self, tmp_path):
-        config = _small_config(tmp_path / "out", solvers=("ellipsoid",))
-        outcome = run_experiment(config)
-        assert outcome.seed_outcomes[0].ordering_ok is None
-        assert outcome.ordering_ok is True
-        text = outcome.manifest_path.read_text(encoding="utf-8")
-        assert "result.ordering_ok" not in text
-        assert not (tmp_path / "out" / "sgd-seed0.csv").exists()
-
     def test_csv_dataset_replaces_synthetic_data(self, tmp_path):
         dataset, _ = generate_synthetic(300, 3, seed=4)
         data_path = tmp_path / "data.csv"
@@ -375,16 +366,17 @@ class TestRunExperiment:
         assert train_rows == 1 + 1 + len(config.sweep)
         assert oc.sigma > 0.0
 
-    def test_manifest_with_a_retired_parallel_seeds_line_reruns_identically(self, tmp_path):
+    @pytest.mark.parametrize("line", ["parallel_seeds=false", "solvers=ellipsoid,sgd", "eval_batch_size=0"])
+    def test_manifest_with_a_retired_parallel_seeds_line_reruns_identically(self, tmp_path, line):
         first = run_experiment(_small_config(tmp_path / "first", seeds=(0,)))
         text = first.manifest_path.read_text(encoding="utf-8")
-        assert "parallel_seeds" not in text
+        key, _, value = line.partition("=")
+        assert f"{key}=" not in text
         # manifests written before the key was retired carry this line
         old = tmp_path / "old-manifest.txt"
-        old.write_text(text.replace("workers=1\n", "workers=1\nparallel_seeds=false\n"),
-                       encoding="utf-8")
+        old.write_text(text.replace("workers=1\n", f"workers=1\n{line}\n"), encoding="utf-8")
         mapping = read_key_value_file(old)
-        assert mapping["parallel_seeds"] == "false"
+        assert mapping[key] == value
         mapping["out_dir"] = str(tmp_path / "second")
         run_experiment(config_from_mapping(mapping))
         for name in ("ellipsoid-seed0.csv", "sgd-seed0.csv"):

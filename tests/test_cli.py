@@ -104,11 +104,13 @@ class TestSolve:
         assert "nope.csv" in err
 
 
+# small enough to run both solvers in well under a second, and the cut
+# solver reaches f*+1e-2 before the one SGD step size on seeds 0 and 1
 def _bench_args(tmp_path, out="bench", **extra):
     args = [
-        "bench", "--m", "400", "--n", "3", "--batch-size", "64",
+        "bench", "--m", "400", "--n", "3", "--batch-size", "512",
         "--max-iters", "60", "--sgd-iterations", "60", "--sgd-batch-size", "8",
-        "--sweep", "0.05,0.5", "--erm-tol", "1e-3",
+        "--sweep", "0.05", "--erm-tol", "1e-3",
         "--out-dir", str(tmp_path / out),
     ]
     for key, value in extra.items():
@@ -117,15 +119,14 @@ def _bench_args(tmp_path, out="bench", **extra):
 
 
 class TestBench:
-    def test_single_solver_run_writes_artifacts_and_exits_0(self, tmp_path, capsys):
-        assert main(_bench_args(tmp_path, solvers="ellipsoid")) == 0
+    def test_run_writes_artifacts_and_exits_0(self, tmp_path, capsys):
+        assert main(_bench_args(tmp_path)) == 0
         out_dir = tmp_path / "bench"
-        assert (out_dir / "ellipsoid-seed0.csv").is_file()
-        assert (out_dir / "summary.csv").is_file()
-        assert (out_dir / "manifest.txt").is_file()
+        for name in ("ellipsoid-seed0.csv", "sgd-seed0.csv", "summary.csv", "manifest.txt"):
+            assert (out_dir / name).is_file()
         out = capsys.readouterr().out
         assert "iters-to-thresholds" in out
-        assert "ordering" not in out
+        assert "ordering (cut solver first to f*+1e-2 on every seed): ok" in out
 
     def test_failed_ordering_exits_1(self, tmp_path, capsys):
         # 3 iterations cannot reach the mid threshold, so the comparison fails
@@ -134,25 +135,30 @@ class TestBench:
 
     def test_flags_win_over_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("m=300\nn=3\neps=0.25\nsolvers=ellipsoid\n", encoding="utf-8")
+        cfg.write_text("m=300\nn=3\neps=0.25\n", encoding="utf-8")
         args = _bench_args(tmp_path, config=cfg, m=400)
         assert main(args) == 0
         manifest = (tmp_path / "bench" / "manifest.txt").read_text(encoding="utf-8")
         assert "m=400" in manifest
         assert "eps=0.25" in manifest
-        assert "solvers=ellipsoid" in manifest
 
     def test_seeds_flag_overrides_seed(self, tmp_path):
-        args = _bench_args(tmp_path, solvers="ellipsoid", seed=9, seeds="0,1")
+        args = _bench_args(tmp_path, seed=9, seeds="0,1")
         assert main(args) == 0
         manifest = (tmp_path / "bench" / "manifest.txt").read_text(encoding="utf-8")
         assert "seeds=0,1" in manifest
         assert (tmp_path / "bench" / "ellipsoid-seed1.csv").is_file()
 
     def test_invalid_config_exits_2_without_artifacts(self, tmp_path, capsys):
-        assert main(_bench_args(tmp_path, solvers="newton")) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "bench").exists()
+        # a retired key at a value other than its old default
+        for line in ("solvers=ellipsoid", "eval_batch_size=33"):
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(line + "\n", encoding="utf-8")
+            assert main(_bench_args(tmp_path, config=cfg)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert line.partition("=")[0] in err
+            assert not (tmp_path / "bench").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -166,7 +172,6 @@ _BENCH_FLAG_CASES = [
     (["--n", "4"], "n", 4),
     (["--csv", "data.csv"], "csv", "data.csv"),
     (["--no-intercept"], "intercept", False),
-    (["--solvers", "sgd"], "solvers", ("sgd",)),
     (["--seeds", "3,4"], "seeds", (3, 4)),
     (["--seed", "9"], "seeds", (9,)),
     (["--eps", "0.125"], "eps", 0.125),

@@ -320,6 +320,29 @@ class TestErmReference:
         assert self._exact_gap(problem, newton_point) <= tol
         assert self._exact_gap(problem, cut_point) <= tol
 
+    def test_newton_backtracks_on_heavy_tailed_data(self, monkeypatch):
+        # Cauchy features make the full Newton step overshoot, so Armijo
+        # backtracking shrinks at least one step before it is accepted
+        rng = np.random.default_rng(1061)
+        m = rng.integers(4, 40)
+        X = rng.standard_t(1, (m, 2)) * rng.choice([0.5, 1, 2, 5])
+        problem = LogisticProblem(Dataset(X, (rng.random(m) < 0.5).astype(float)), weight_radius=10.0)
+        tol = 1e-6
+        calls = []
+        for name in ("objective_and_gradient", "hessian"):
+            def counting(w, _name=name, _original=getattr(problem, name)):
+                calls.append(_name)
+                return _original(w)
+            monkeypatch.setattr(problem, name, counting)
+        point, value = problems._newton_reference(problem, tol)
+        # one evaluation at w = 0 and one per accepted step; any more are
+        # rejected trial steps (this draw: 4 steps, 6 evaluations)
+        assert calls.count("objective_and_gradient") > calls.count("hessian") + 1
+        monkeypatch.undo()
+        assert self._exact_gap(problem, point) <= tol
+        _, cut_value = problems._cut_reference(problem, tol, 0)
+        assert abs(value - cut_value) <= tol
+
     def test_newton_step_leaving_the_ball_falls_back_to_the_cut_solver(self, monkeypatch):
         dataset, _ = generate_synthetic(500, 3, seed=4)
         problem = LogisticProblem(dataset, weight_radius=0.05)

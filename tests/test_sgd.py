@@ -71,7 +71,7 @@ def test_reports_the_last_iterate_deterministically():
     last = a.records[-1]
     step = minibatch_gradient(oracle, last.center, BatchSpec(8, 5), step=last.index).gradient
     assert np.array_equal(a.best_point, ball.project(last.center - 0.1 * step))
-    assert a.eval_batch_size == 8 and a.eval_draws == 8
+    assert a.batch_size == 8 and a.eval_draws == 8
 
 
 def test_default_step_grid_values():

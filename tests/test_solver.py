@@ -189,15 +189,15 @@ def test_resolve_plan_derives_what_the_config_leaves_open():
     plan = resolve_plan(oracle, ball, config)
     assert plan.value_range == estimate_value_range(oracle, ball, seed=7)
     assert plan.iterations == iteration_budget(2, 2.0, plan.value_range, 1.0, 0.05)
-    assert plan.batch_size == plan.eval_batch_size == plan.theory_batch_size > 1000
+    assert plan.batch_size == plan.theory_batch_size > 1000
     assert plan.zero_tol == pytest.approx(1e-12 * plan.value_range / 2.0, rel=1e-15)
     report = solve(oracle, ball, config)
     assert report.batch_size == plan.batch_size
     assert report.iterations <= plan.iterations
 
     given = resolve_plan(oracle, ball, SolverConfig(
-        eps=0.05, sigma=0.25, batch_size=32, eval_batch_size=8, max_iterations=5, value_range=3.0))
-    assert (given.value_range, given.iterations, given.batch_size, given.eval_batch_size) == (3.0, 5, 32, 8)
+        eps=0.05, sigma=0.25, batch_size=32, max_iterations=5, value_range=3.0))
+    assert (given.value_range, given.iterations, given.batch_size) == (3.0, 5, 32)
 
 
 def test_resolve_plan_overflowing_theory_batch():
