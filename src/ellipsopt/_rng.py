@@ -4,8 +4,10 @@ Every stochastic draw in this package is keyed by (seed, stream, step) and a
 batch-element index. A batch is drawn serially in one call: element ``l``
 reads its own Philox counter blocks (lanes it does not need are discarded),
 and normals come from the inverse CDF, a fixed consumption per element
-unlike rejection samplers. The batch mean is then reduced by a pairwise
-tree whose shape depends only on the batch size.
+unlike rejection samplers. ``pairwise_mean`` reduces a block of per-draw
+rows in a tree whose shape depends only on the batch size; the synthetic
+oracles take their batch means with it, while the logistic oracle reduces
+its gathered rows inside one matrix product.
 """
 
 from __future__ import annotations

@@ -73,11 +73,24 @@ class Dataset:
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), finite for any z.
+
+    Built in its result, with one temporary; ``out=`` keeps a 0-d input 0-d.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    out = np.abs(z, out=np.empty_like(z))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(out, np.maximum(z, 0.0), out=out)
 
 
 class LogisticOracle(StochasticGradOracle):
-    """One draw = the loss/gradient of a uniformly sampled dataset row."""
+    """One draw = the loss/gradient of a uniformly sampled dataset row.
+
+    The batch means reduce the gathered rows in one matrix product each,
+    without the per-draw arrays of ``draw_block`` and ``value_block_crn``.
+    """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
         self._X = np.asarray(features, dtype=np.float64)
@@ -88,7 +101,7 @@ class LogisticOracle(StochasticGradOracle):
     def _rows(self, seed: int, step: int, stream: int, count: int):
         key = _rng.stream_key(seed, stream, step)
         idx = _rng.uniform_indices(key, count, self._X.shape[0])
-        return self._X[idx], self._y[idx]
+        return self._X.take(idx, axis=0), self._y.take(idx)
 
     @property
     def dimension(self) -> int:
@@ -105,6 +118,21 @@ class LogisticOracle(StochasticGradOracle):
         Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
         z = Xb @ points.T
         return _softplus(z) - yb[:, None] * z
+
+    def batch_mean(self, x, seed, step, count):
+        Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, count)
+        z = Xb @ x
+        gradient = (expit(z) - yb) @ Xb / count
+        return gradient, float(np.mean(_softplus(z) - yb * z))
+
+    def value_means_crn(self, points, seed, step, count):
+        Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
+        # one row per point: row slices keep their bits (``estimate_values``)
+        z = points @ Xb.T
+        losses = _softplus(z)
+        z *= yb
+        losses -= z
+        return losses.mean(axis=1)
 
 
 class LogisticProblem:
@@ -130,7 +158,9 @@ class LogisticProblem:
     def objective_many(self, weight_rows: np.ndarray) -> np.ndarray:
         """Full-data mean loss at each row of (k, n) weights."""
         Z = self.dataset.features @ np.asarray(weight_rows, dtype=np.float64).T
-        losses = _softplus(Z) - self.dataset.labels[:, None] * Z
+        losses = _softplus(Z)
+        Z *= self.dataset.labels[:, None]
+        losses -= Z
         return losses.mean(axis=0)
 
     def gradient(self, weights) -> Vector:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,11 +108,12 @@ def test_gaussian_oracle_value_noise_is_consistent_with_gradient():
 
 
 # Batch means recorded bit for bit (float.hex). They move if the Philox lane
-# layout, the inverse-CDF normals, the index draw or the pairwise reduction
-# order changes; any such change alters every trace and must be deliberate.
-PINNED_LOGISTIC_GRADIENT = ["-0x1.c3d7c66a4cdd3p-7", "0x1.ef9069c72b894p-5",
-                            "-0x1.6ea6b6681092ap-3", "0x1.5a0476abcb8f9p-2",
-                            "-0x1.31cc5e98a2ebep-2"]
+# layout, the inverse-CDF normals, the index draw, the softplus or the
+# reduction order changes; any such change alters every trace and must be
+# deliberate.
+PINNED_LOGISTIC_GRADIENT = ["-0x1.c3d7c66a4cdd3p-7", "0x1.ef9069c72b892p-5",
+                            "-0x1.6ea6b66810925p-3", "0x1.5a0476abcb8f8p-2",
+                            "-0x1.31cc5e98a2ec5p-2"]
 PINNED_LOGISTIC_VALUE = "0x1.10ec58042773dp+0"
 PINNED_GAUSSIAN_GRADIENT = ["0x1.951b3a814130dp-2", "-0x1.65c05133ed341p+0",
                             "0x1.1a4a996ddf1e6p+1"]
@@ -120,13 +125,24 @@ def _hex(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-def test_batch_means_are_pinned_to_recorded_bits():
+def _pinned_logistic_means():
+    """The logistic gradient, value and estimates that the pins record."""
     ds, _ = generate_synthetic(300, 5, seed=2)
     logistic = LogisticOracle(ds.features, ds.labels)
     w = np.array([0.5, -0.25, 0.125, 1.0, -0.75])
     sample = minibatch_gradient(logistic, w, BatchSpec(size=4096, seed=7), step=11)
-    assert _hex(sample.gradient) == PINNED_LOGISTIC_GRADIENT
-    assert _hex(sample.value) == [PINNED_LOGISTIC_VALUE]
+    points = np.array([[0.3, 0.1, -0.2, 0.0, 0.4], w, -w])
+    values = estimate_values(logistic, points, BatchSpec(size=4096, seed=7), step=2)
+    return _hex(sample.gradient), _hex(sample.value), _hex(values)
+
+
+PINNED_LOGISTIC_MEANS = (PINNED_LOGISTIC_GRADIENT, [PINNED_LOGISTIC_VALUE], PINNED_ESTIMATES)
+
+
+def test_batch_means_are_pinned_to_recorded_bits():
+    gradient, value, estimates = _pinned_logistic_means()
+    assert gradient == PINNED_LOGISTIC_GRADIENT
+    assert value == [PINNED_LOGISTIC_VALUE]
 
     # odd batch size: the pairwise tree carries an unpaired row up a level
     gaussian = GaussianOracle(quad_value_grad, 3, sigma=0.5, anchor=np.array([0.1, 0.2, 0.3]))
@@ -134,9 +150,59 @@ def test_batch_means_are_pinned_to_recorded_bits():
     assert _hex(sample.gradient) == PINNED_GAUSSIAN_GRADIENT
     assert _hex(sample.value) == [PINNED_GAUSSIAN_VALUE]
 
-    points = np.array([[0.3, 0.1, -0.2, 0.0, 0.4], w, -w])
-    values = estimate_values(logistic, points, BatchSpec(size=4096, seed=7), step=2)
-    assert _hex(values) == PINNED_ESTIMATES
+    assert estimates == PINNED_ESTIMATES
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pinned_logistic_bits_hold_under_one_and_two_blas_threads(threads):
+    # the matrix products that reduce a batch must not round by thread count
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
+                                                       os.environ.get("PYTHONPATH")])))
+    code = "import test_oracles; print(repr(test_oracles._pinned_logistic_means()))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == repr(PINNED_LOGISTIC_MEANS)
+
+
+# unit roundoff of float64
+_U = 2.0**-53
+
+
+def _mean_slack(terms, r):
+    """Twice the error bound of one mean of r float64 terms, each term and
+    the division rounded once: a recursive sum errs by at most r * u * sum|t|
+    (Higham, SIAM J. Sci. Comput. 14(4), 1993), so each mean lies within
+    (r + 2) * u * mean|t| of the exact mean, and two means within twice that."""
+    return 2 * (r + 2) * _U * np.abs(terms).mean(axis=0)
+
+
+def test_fused_logistic_batch_mean_matches_the_per_draw_mean():
+    ds, _ = generate_synthetic(2000, 55, seed=5)
+    logistic = LogisticOracle(ds.features, ds.labels)
+    x = np.random.default_rng(1).uniform(-0.2, 0.2, size=55)
+    r = 4096
+    grads, values = logistic.draw_block(x, 3, 4, r)
+    gradient, value = logistic.batch_mean(x, 3, 4, r)
+    assert np.all(np.abs(gradient - grads.mean(axis=0)) <= _mean_slack(grads, r))
+    assert abs(value - values.mean()) <= _mean_slack(values, r)
+
+
+def test_fused_logistic_value_means_match_the_per_draw_means():
+    ds, _ = generate_synthetic(2000, 55, seed=5)
+    logistic = LogisticOracle(ds.features, ds.labels)
+    points = np.random.default_rng(2).uniform(-0.2, 0.2, size=(7, 55))
+    r, n = 4096, 55
+    block = logistic.value_block_crn(points, 3, 4, r)
+    means = logistic.value_means_crn(points, 3, 4, r)
+    # the two paths may also round a draw's logit z differently: z is a dot
+    # product of n terms with |z| <= A, and the loss is 1-Lipschitz in z, so
+    # evaluating z and the loss errs by at most (n + 5) * u * A + 4u per path
+    A = (np.abs(ds.features) @ np.abs(points).T).max(axis=0)
+    logit_slack = 2 * _U * ((n + 5) * A + 4)
+    assert np.all(np.abs(means - block.mean(axis=0)) <= _mean_slack(block, r) + logit_slack)
 
 
 def test_estimate_values_shares_noise_across_points():
@@ -148,13 +214,13 @@ def test_estimate_values_shares_noise_across_points():
 
 
 def _recording_block_widths(oracle, widths):
-    value_block_crn = oracle.value_block_crn
+    value_means_crn = oracle.value_means_crn
 
     def recording(points, *args):
         widths.append(points.shape[0])
-        return value_block_crn(points, *args)
+        return value_means_crn(points, *args)
 
-    oracle.value_block_crn = recording
+    oracle.value_means_crn = recording
 
 
 def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch):

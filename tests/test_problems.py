@@ -137,6 +137,20 @@ class TestLogisticProblem:
             LogisticProblem(ds)
 
 
+def test_softplus_matches_logaddexp_within_two_ulp():
+    saturated = [40.0, -40.0, 745.0, -745.0, 746.0, -746.0, 800.0, -800.0, 1e300, -1e300]
+    edges = [0.0, 5e-324, -5e-324] + saturated
+    z = np.concatenate([np.linspace(-50.0, 50.0, 20001), edges])
+    given_z = z.copy()
+    reference = np.logaddexp(0.0, z)
+    assert np.all(np.abs(problems._softplus(z) - reference) <= 2 * np.spacing(reference))
+    assert np.array_equal(z, given_z)
+    for v in edges:
+        out = problems._softplus(np.asarray(v))
+        assert out.shape == ()
+        assert abs(out - np.logaddexp(0.0, v)) <= 2 * np.spacing(np.logaddexp(0.0, v))
+
+
 class TestLogisticOracle:
     def test_draw_block_replays_exactly(self):
         problem = _toy_problem()
