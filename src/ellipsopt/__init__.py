@@ -15,7 +15,6 @@ from .oracles import (
     BatchSpec,
     DeltaCertificate,
     GaussianOracle,
-    GradSample,
     PerturbedOracle,
     StochasticGradOracle,
     concentration_radius,
@@ -32,7 +31,6 @@ from .problems import (
     LogisticProblem,
     QuadraticProblem,
     erm_reference,
-    fit_subgaussian_sigma,
     generate_synthetic,
     load_dataset_csv,
     save_dataset_csv,

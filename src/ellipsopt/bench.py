@@ -86,8 +86,8 @@ class BenchConfig:
             raise InfeasibleConfigError("seeds must be non-negative")
         if len(set(self.seeds)) != len(self.seeds):
             raise InfeasibleConfigError(f"seeds must not repeat, got {self.seeds}")
-        if self.eps <= 0:
-            raise InfeasibleConfigError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise InfeasibleConfigError("eps must be positive and finite")
         if not 0.0 < self.beta < 1.0:
             raise InfeasibleConfigError("beta must lie strictly inside (0, 1)")
         if self.csv is None and (self.m < 10 or self.n < 2):
@@ -102,12 +102,16 @@ class BenchConfig:
                 raise InfeasibleConfigError(f"{name} must be at least 1 when given")
         if self.sgd_batch_size < 1:
             raise InfeasibleConfigError("sgd_batch_size must be at least 1")
-        if self.erm_tol <= 0 or self.weight_radius <= 0:
-            raise InfeasibleConfigError("erm_tol and weight_radius must be positive")
-        if self.sigma is not None and self.sigma < 0:
-            raise InfeasibleConfigError("sigma must be non-negative when given")
+        if not (0.0 < self.erm_tol < math.inf and 0.0 < self.weight_radius < math.inf):
+            raise InfeasibleConfigError("erm_tol and weight_radius must be positive and finite")
+        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+            raise InfeasibleConfigError("sigma must be non-negative and finite when given")
         if self.sweep is not None and not self.sweep:
             raise InfeasibleConfigError("sweep must list at least one step size when given")
+        if self.sweep is not None and not all(0.0 <= s < math.inf for s in self.sweep):
+            raise InfeasibleConfigError(
+                f"sweep step sizes must be non-negative and finite, got {self.sweep}"
+            )
 
 
 @dataclass

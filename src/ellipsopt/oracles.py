@@ -10,8 +10,8 @@ D, which is what lets noisy means drive cut steps.
 A minibatch mean is one ``batch_mean`` call on counter-keyed streams, so
 it is a pure function of the point, the seed, the step and the batch size.
 The oracle computes the mean itself: the logistic oracle with one matrix
-product over the gathered rows, the synthetic oracles by reducing their
-per-draw ``draw_block`` arrays with ``_rng.pairwise_mean``.
+product over the gathered rows, the synthetic oracles with numpy's mean of
+their per-draw ``draw_block`` arrays. Both are fixed for a fixed shape.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ class BatchSpec:
             raise ValueError("batch size must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class GradSample:
-    gradient: Vector
-    value: float
 
 
 @dataclass(frozen=True)
@@ -103,14 +97,12 @@ class StochasticGradOracle(ABC):
 
 def minibatch_gradient(
     oracle: StochasticGradOracle, x, batch: BatchSpec, step: int = 0
-) -> GradSample:
-    """Mean of ``batch.size`` oracle draws at x.
+) -> tuple[Vector, float]:
+    """Mean gradient and mean value of ``batch.size`` oracle draws at x.
 
     The result is a pure function of (x, batch.seed, batch.size, step).
     """
-    v = _as_vector(x, oracle.dimension)
-    gradient, value = oracle.batch_mean(v, batch.seed, step, batch.size)
-    return GradSample(gradient=gradient, value=value)
+    return oracle.batch_mean(_as_vector(x, oracle.dimension), batch.seed, step, batch.size)
 
 
 def estimate_values(

@@ -184,23 +184,19 @@ class LogisticProblem:
 
     @cached_property
     def fitted_sigma(self) -> float:
-        return fit_subgaussian_sigma(self.dataset)
+        """Subgaussian scale of per-sample gradient deviations at w = 0.
 
-
-def fit_subgaussian_sigma(dataset: Dataset) -> float:
-    """Subgaussian scale of per-sample gradient deviations at w = 0.
-
-    Takes the 0.99 quantile of ||g_i - mean g|| over the data and inflates
-    it by 1.5; per-sample deviations are bounded by 2 max ||x_i||, so the
-    inflated quantile comfortably satisfies E exp(||.||^2/sigma^2) <= e on
-    non-degenerate data.
-    """
-    grads = (0.5 - dataset.labels)[:, None] * dataset.features
-    deviations = np.linalg.norm(grads - grads.mean(axis=0), axis=1)
-    scale = float(np.quantile(deviations, _SIGMA_QUANTILE)) * _SIGMA_SAFETY
-    if scale <= 0.0:
-        raise ValueError("degenerate dataset: all per-sample gradients coincide")
-    return scale
+        Takes the 0.99 quantile of ||g_i - mean g|| over the data and inflates
+        it by 1.5; per-sample deviations are bounded by 2 max ||x_i||, so the
+        inflated quantile comfortably satisfies E exp(||.||^2/sigma^2) <= e on
+        non-degenerate data.
+        """
+        grads = (0.5 - self.dataset.labels)[:, None] * self.dataset.features
+        deviations = np.linalg.norm(grads - grads.mean(axis=0), axis=1)
+        scale = float(np.quantile(deviations, _SIGMA_QUANTILE)) * _SIGMA_SAFETY
+        if scale <= 0.0:
+            raise ValueError("degenerate dataset: all per-sample gradients coincide")
+        return scale
 
 
 @dataclass(frozen=True)

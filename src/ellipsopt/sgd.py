@@ -57,9 +57,9 @@ def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Sgd
 
     records: list[IterationRecord] = []
     for k in range(config.iterations):
-        sample = minibatch_gradient(oracle, theta, batch, step=k)
-        records.append(IterationRecord(k, theta, True, CUT_SGD, sample.value, None))
-        theta = feasible_set.project(theta - config.step_size * sample.gradient)
+        gradient, value = minibatch_gradient(oracle, theta, batch, step=k)
+        records.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
+        theta = feasible_set.project(theta - config.step_size * gradient)
 
     _, point, estimate, eval_draws = _select_candidates([(len(records), theta, None)], oracle, batch)
     return SolverReport(

@@ -88,12 +88,12 @@ class SolverConfig:
     certificate_stop: float | None = None
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie strictly inside (0, 1)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.workers < 1:
@@ -102,8 +102,8 @@ class SolverConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be at least 1 when given")
-        if self.value_range is not None and self.value_range <= 0:
-            raise ValueError("value_range must be positive when given")
+        if self.value_range is not None and not 0.0 < self.value_range < math.inf:
+            raise ValueError("value_range must be positive and finite when given")
 
 
 @dataclass(frozen=True)
@@ -267,10 +267,8 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
         feasible = feasible_set.contains(center)
         log_det = ellipsoid.log_det_shape()
         if feasible:
-            sample = minibatch_gradient(oracle, center, batch, step=k)
+            cut, estimate = minibatch_gradient(oracle, center, batch, step=k)
             grad_draws += plan.batch_size
-            cut = sample.gradient
-            estimate = sample.value
             if float(np.linalg.norm(cut)) <= plan.zero_tol:
                 records.append(IterationRecord(k, center, True, CUT_ZERO_GRAD, estimate, log_det))
                 zero_grad_exit = (center, estimate)

@@ -151,6 +151,16 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"config key {key} is retired"):
                 config_from_mapping({key: value})
 
+    @pytest.mark.parametrize("key", ["eps", "sigma", "erm_tol", "weight_radius", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_floats(self, key, value):
+        with pytest.raises(InfeasibleConfigError, match=key.partition("_")[0]):
+            config_from_mapping({key: value})
+
+    def test_rejects_a_negative_sweep_entry(self):
+        with pytest.raises(InfeasibleConfigError, match="sweep"):
+            config_from_mapping({"sweep": "0.05,-1"})
+
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(InfeasibleConfigError, match="sweep"):
             BenchConfig(sweep=())

@@ -160,6 +160,13 @@ class TestBench:
             assert line.partition("=")[0] in err
             assert not (tmp_path / "bench").exists()
 
+    def test_nan_eps_exits_2_without_artifacts(self, tmp_path, capsys):
+        assert main(_bench_args(tmp_path, eps="nan")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "eps" in err
+        assert not (tmp_path / "bench").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("momentum=0.9\n", encoding="utf-8")

@@ -71,21 +71,21 @@ def test_zero_sigma_oracle_is_exact_and_deterministic():
     oracle = GaussianOracle(quad_value_grad, 3, sigma=0.0)
     assert oracle.is_deterministic
     x = np.array([0.5, -1.0, 2.0])
-    sample = minibatch_gradient(oracle, x, BatchSpec(size=1, seed=4))
-    assert sample.value == pytest.approx(float(x @ x), rel=1e-15)
-    assert np.allclose(sample.gradient, 2.0 * x, rtol=1e-15)
+    gradient, value = minibatch_gradient(oracle, x, BatchSpec(size=1, seed=4))
+    assert value == pytest.approx(float(x @ x), rel=1e-15)
+    assert np.allclose(gradient, 2.0 * x, rtol=1e-15)
 
 
 def test_gaussian_oracle_replay_and_mean_convergence():
     oracle = GaussianOracle(quad_value_grad, 2, sigma=1.0)
     x = np.array([1.0, -0.5])
-    a = minibatch_gradient(oracle, x, BatchSpec(size=4096, seed=0), step=3)
-    b = minibatch_gradient(oracle, x, BatchSpec(size=4096, seed=0), step=3)
-    assert np.array_equal(a.gradient, b.gradient)
-    c = minibatch_gradient(oracle, x, BatchSpec(size=4096, seed=1), step=3)
-    assert not np.array_equal(a.gradient, c.gradient)
+    a, _ = minibatch_gradient(oracle, x, BatchSpec(size=4096, seed=0), step=3)
+    b, _ = minibatch_gradient(oracle, x, BatchSpec(size=4096, seed=0), step=3)
+    assert np.array_equal(a, b)
+    c, _ = minibatch_gradient(oracle, x, BatchSpec(size=4096, seed=1), step=3)
+    assert not np.array_equal(a, c)
     # minibatch mean approaches the exact gradient at the sigma/sqrt(r) rate
-    err = np.linalg.norm(a.gradient - 2.0 * x)
+    err = np.linalg.norm(a - 2.0 * x)
     assert err < 5.0 * 1.0 / math.sqrt(4096)
 
 
@@ -107,64 +107,60 @@ def test_gaussian_oracle_value_noise_is_consistent_with_gradient():
     assert np.allclose(values, 2.0, rtol=1e-12)
 
 
-# Batch means recorded bit for bit (float.hex). They move if the Philox lane
+# Batch means recorded bit for bit (float.hex). They move if the Philox word
 # layout, the inverse-CDF normals, the index draw, the softplus or the
 # reduction order changes; any such change alters every trace and must be
 # deliberate.
-PINNED_LOGISTIC_GRADIENT = ["-0x1.c3d7c66a4cdd3p-7", "0x1.ef9069c72b892p-5",
-                            "-0x1.6ea6b66810925p-3", "0x1.5a0476abcb8f8p-2",
-                            "-0x1.31cc5e98a2ec5p-2"]
-PINNED_LOGISTIC_VALUE = "0x1.10ec58042773dp+0"
-PINNED_GAUSSIAN_GRADIENT = ["0x1.951b3a814130dp-2", "-0x1.65c05133ed341p+0",
-                            "0x1.1a4a996ddf1e6p+1"]
-PINNED_GAUSSIAN_VALUE = "0x1.bdd99ae970953p+0"
-PINNED_ESTIMATES = ["0x1.628a49f1f0052p-1", "0x1.114c5d9f10af8p+0", "0x1.69ceb65dd6b38p-1"]
+PINNED_LOGISTIC_GRADIENT = ["-0x1.c0ff087d81efcp-7", "0x1.44d3b6073ae48p-4",
+                            "-0x1.71e52568b13a3p-3", "0x1.4ab1266f60e91p-2",
+                            "-0x1.30c5b6dddc5e0p-2"]
+PINNED_LOGISTIC_VALUE = "0x1.0b79389dde48bp+0"
+PINNED_GAUSSIAN_GRADIENT = ["0x1.9a592972e6d7fp-2", "-0x1.6458225fa7c0ap+0",
+                            "0x1.1a9eafe135766p+1"]
+PINNED_GAUSSIAN_VALUE = "0x1.bd3d8775c6c3ap+0"
+PINNED_ESTIMATES = ["0x1.5bae17fa398b2p-1", "0x1.10fc2c66d8b5cp+0", "0x1.65919317a54fcp-1"]
 
 
 def _hex(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-def _pinned_logistic_means():
-    """The logistic gradient, value and estimates that the pins record."""
+def _pinned_means():
+    """The logistic gradient, value and estimates, then the Gaussian gradient
+    and value, that the pins record."""
     ds, _ = generate_synthetic(300, 5, seed=2)
     logistic = LogisticOracle(ds.features, ds.labels)
     w = np.array([0.5, -0.25, 0.125, 1.0, -0.75])
-    sample = minibatch_gradient(logistic, w, BatchSpec(size=4096, seed=7), step=11)
+    gradient, value = minibatch_gradient(logistic, w, BatchSpec(size=4096, seed=7), step=11)
     points = np.array([[0.3, 0.1, -0.2, 0.0, 0.4], w, -w])
     values = estimate_values(logistic, points, BatchSpec(size=4096, seed=7), step=2)
-    return _hex(sample.gradient), _hex(sample.value), _hex(values)
+    gaussian = GaussianOracle(quad_value_grad, 3, sigma=0.5, anchor=np.array([0.1, 0.2, 0.3]))
+    g_gradient, g_value = minibatch_gradient(gaussian, np.array([0.2, -0.7, 1.1]),
+                                             BatchSpec(size=999, seed=5), step=3)
+    return _hex(gradient), _hex(value), _hex(values), _hex(g_gradient), _hex(g_value)
 
 
-PINNED_LOGISTIC_MEANS = (PINNED_LOGISTIC_GRADIENT, [PINNED_LOGISTIC_VALUE], PINNED_ESTIMATES)
+PINNED_MEANS = (PINNED_LOGISTIC_GRADIENT, [PINNED_LOGISTIC_VALUE], PINNED_ESTIMATES,
+                PINNED_GAUSSIAN_GRADIENT, [PINNED_GAUSSIAN_VALUE])
 
 
 def test_batch_means_are_pinned_to_recorded_bits():
-    gradient, value, estimates = _pinned_logistic_means()
-    assert gradient == PINNED_LOGISTIC_GRADIENT
-    assert value == [PINNED_LOGISTIC_VALUE]
-
-    # odd batch size: the pairwise tree carries an unpaired row up a level
-    gaussian = GaussianOracle(quad_value_grad, 3, sigma=0.5, anchor=np.array([0.1, 0.2, 0.3]))
-    sample = minibatch_gradient(gaussian, np.array([0.2, -0.7, 1.1]), BatchSpec(size=999, seed=5), step=3)
-    assert _hex(sample.gradient) == PINNED_GAUSSIAN_GRADIENT
-    assert _hex(sample.value) == [PINNED_GAUSSIAN_VALUE]
-
-    assert estimates == PINNED_ESTIMATES
+    assert _pinned_means() == PINNED_MEANS
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_pinned_logistic_bits_hold_under_one_and_two_blas_threads(threads):
-    # the matrix products that reduce a batch must not round by thread count
+    # the matrix products that reduce a batch, and the Gaussian value draw
+    # noise @ (x - anchor), must not round by thread count
     root = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
                                                        os.environ.get("PYTHONPATH")])))
-    code = "import test_oracles; print(repr(test_oracles._pinned_logistic_means()))"
+    code = "import test_oracles; print(repr(test_oracles._pinned_means()))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == repr(PINNED_LOGISTIC_MEANS)
+    assert run.stdout.strip() == repr(PINNED_MEANS)
 
 
 # unit roundoff of float64

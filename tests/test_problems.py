@@ -16,7 +16,6 @@ from ellipsopt.problems import (
     LogisticProblem,
     QuadraticProblem,
     erm_reference,
-    fit_subgaussian_sigma,
     generate_synthetic,
     load_dataset_csv,
     save_dataset_csv,
@@ -200,16 +199,16 @@ def test_sample_oracle_replays_and_draws_real_rows():
 class TestFitSubgaussianSigma:
     def test_scales_linearly_with_features(self):
         dataset, _ = generate_synthetic(300, 4, seed=1)
-        base = fit_subgaussian_sigma(dataset)
-        scaled = fit_subgaussian_sigma(
+        base = LogisticProblem(dataset).fitted_sigma
+        scaled = LogisticProblem(
             Dataset(features=3.0 * dataset.features, labels=dataset.labels)
-        )
+        ).fitted_sigma
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_degenerate_gradients_raise(self):
         ds = Dataset(features=np.ones((5, 2)), labels=np.zeros(5))
         with pytest.raises(ValueError):
-            fit_subgaussian_sigma(ds)
+            LogisticProblem(ds).fitted_sigma
 
 
 class TestGenerateSynthetic:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ellipsopt import _rng
 
@@ -38,28 +36,16 @@ def test_uniform_indices_bounds_and_determinism():
     assert np.array_equal(_rng.uniform_indices(key, 50000, 37), idx)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=200),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_pairwise_sum_is_chunking_invariant(size, seed):
-    rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(size, 3))
-    total = _rng.pairwise_sum(rows)
-    # any split point must reproduce the same bits via the shared tree shape
-    for cut in {1, size // 2, max(size - 1, 1)}:
-        if 0 < cut < size:
-            merged = _rng.pairwise_sum(
-                np.vstack([_rng.pairwise_sum(rows[:cut])[None, :], _rng.pairwise_sum(rows[cut:])[None, :]])
-            )
-            # identical only when the cut aligns with the tree boundary;
-            # the oracle path's bits are pinned in test_oracles
-            assert np.allclose(merged, total, rtol=1e-12, atol=1e-12)
-    assert _rng.pairwise_mean(rows) == pytest.approx(total / size, rel=1e-15, abs=1e-300)
+def test_normals_read_contiguous_words_per_element():
+    key = _rng.stream_key(2, _rng.GRAD_STREAM, 7)
+    wide = _rng.standard_normals(key, 301, 5)
+    assert np.array_equal(wide, _rng.standard_normals(key, 301 * 5, 1).reshape(301, 5))
 
 
-def test_pairwise_mean_matches_numpy_within_float():
-    rng = np.random.default_rng(3)
-    rows = rng.normal(size=(1025, 4))
-    assert np.allclose(_rng.pairwise_mean(rows), rows.mean(axis=0), atol=1e-12)
+@pytest.mark.parametrize("count", [1, 7, 4096])
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one(count):
+    key = _rng.stream_key(5, _rng.EVAL_STREAM, 3)
+    assert np.array_equal(_rng.standard_normals(key, 2 * count, 3)[:count],
+                          _rng.standard_normals(key, count, 3))
+    assert np.array_equal(_rng.uniform_indices(key, 2 * count, 1000)[:count],
+                          _rng.uniform_indices(key, count, 1000))

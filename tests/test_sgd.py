@@ -69,7 +69,7 @@ def test_reports_the_last_iterate_deterministically():
     # the reported point is the step after the last recorded iterate,
     # scored on one fresh batch of batch_size draws
     last = a.records[-1]
-    step = minibatch_gradient(oracle, last.center, BatchSpec(8, 5), step=last.index).gradient
+    step, _ = minibatch_gradient(oracle, last.center, BatchSpec(8, 5), step=last.index)
     assert np.array_equal(a.best_point, ball.project(last.center - 0.1 * step))
     assert a.batch_size == 8 and a.eval_draws == 8
 

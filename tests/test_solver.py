@@ -236,3 +236,7 @@ def test_solver_config_validation():
         SolverConfig(sigma=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(batch_size=0)
+    for key in ("eps", "sigma", "value_range"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                SolverConfig(**{key: value})
