@@ -35,6 +35,11 @@ def stream_key(seed: int, stream: int, step: int) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
+def generator(seed: int, stream: int) -> np.random.Generator:
+    """numpy Generator for a stream not keyed by step: data, splits, probes."""
+    return np.random.default_rng(SeedSequence((int(seed), stream)))
+
+
 def open_uniforms(raw: np.ndarray) -> np.ndarray:
     # strictly inside (0, 1) so inverse-CDF transforms stay finite
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53

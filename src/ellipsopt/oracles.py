@@ -10,8 +10,10 @@ D, which is what lets noisy means drive cut steps.
 A minibatch mean is one ``batch_mean`` call on counter-keyed streams, so
 it is a pure function of the point, the seed, the step and the batch size.
 The oracle computes the mean itself: the logistic oracle with one matrix
-product over the gathered rows, the synthetic oracles with numpy's mean of
-their per-draw ``draw_block`` arrays. Both are fixed for a fixed shape.
+product over the gathered rows, the noisy Gaussian oracle with numpy's mean
+of its per-draw ``draw_block`` array. Both are fixed for a fixed shape.
+Exact oracles (the Gaussian oracle at sigma = 0, the perturbed oracle)
+average nothing: they return exact values at every batch size.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class DeltaCertificate:
 
 
 class StochasticGradOracle(ABC):
-    """Source of unbiased-ish gradient draws with subgaussian deviations."""
+    """Minibatch means of gradient and value draws with subgaussian deviations."""
 
     @property
     @abstractmethod
@@ -76,23 +78,14 @@ class StochasticGradOracle(ABC):
         return False
 
     @abstractmethod
-    def draw_block(self, x, seed: int, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient draws (count, n) and value draws (count,) for the first
-        ``count`` batch elements of the stream keyed (seed, step)."""
+    def batch_mean(self, x, seed: int, step: int, count: int) -> tuple[Vector, float]:
+        """Mean gradient (n,) and mean value of the first ``count`` draws of
+        the stream keyed (seed, step)."""
 
     @abstractmethod
-    def value_block_crn(self, points: np.ndarray, seed: int, step: int, count: int) -> np.ndarray:
-        """(count, k) value draws at k points sharing one noise realization
-        per batch element (common random numbers down the columns)."""
-
-    def batch_mean(self, x, seed: int, step: int, count: int) -> tuple[Vector, float]:
-        """Mean gradient (n,) and mean value of the ``draw_block`` draws."""
-        grads, values = self.draw_block(x, seed, step, count)
-        return _rng.pairwise_mean(grads), float(_rng.pairwise_mean(values))
-
     def value_means_crn(self, points: np.ndarray, seed: int, step: int, count: int) -> np.ndarray:
-        """(k,) mean of the ``value_block_crn`` draws at each of k points."""
-        return _rng.pairwise_mean(self.value_block_crn(points, seed, step, count))
+        """(k,) mean of ``count`` value draws at each of k points, all points
+        sharing one noise realization per draw (common random numbers)."""
 
 
 def minibatch_gradient(
@@ -199,7 +192,7 @@ def verify_delta_subgradient(
     g = _as_vector(gradient, feasible_set.dimension)
     if not feasible_set.contains(v):
         raise ValueError("the base point x must lie in the feasible set")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _rng.PROBE_STREAM)))
+    rng = _rng.generator(seed, _rng.PROBE_STREAM)
     probes = [feasible_set.sample(trial_points, rng)] if trial_points > 0 else []
     probes.append(feasible_set.extreme_points())
     probes.append(np.vstack([feasible_set.support_point(g), feasible_set.support_point(-g)]))
@@ -251,20 +244,26 @@ class GaussianOracle(StochasticGradOracle):
         return float(value), _as_vector(grad, self._dim)
 
     def draw_block(self, x, seed, step, count):
+        """(count, n) gradient and (count,) value draws of the stream (seed, step)."""
         value, grad = self._exact(x)
-        if self.sigma == 0.0:
-            return np.tile(grad, (count, 1)), np.full(count, value)
         key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
         noise = self._noise_scale * _rng.standard_normals(key, count, self._dim)
         return grad + noise, value + noise @ (x - self.anchor)
 
-    def value_block_crn(self, points, seed, step, count):
+    def batch_mean(self, x, seed, step, count):
+        if self.sigma == 0.0:
+            value, grad = self._exact(x)
+            return grad, value
+        grads, values = self.draw_block(x, seed, step, count)
+        return _rng.pairwise_mean(grads), float(_rng.pairwise_mean(values))
+
+    def value_means_crn(self, points, seed, step, count):
         values = np.array([self._exact(p)[0] for p in points])
         if self.sigma == 0.0:
-            return np.tile(values, (count, 1))
+            return values
         key = _rng.stream_key(seed, _rng.EVAL_STREAM, step)
         noise = self._noise_scale * _rng.standard_normals(key, count, self._dim)
-        return values + noise @ (points - self.anchor).T
+        return _rng.pairwise_mean(values + noise @ (points - self.anchor).T)
 
 
 class PerturbedOracle(StochasticGradOracle):
@@ -301,11 +300,9 @@ class PerturbedOracle(StochasticGradOracle):
         direction = _rng.standard_normals(key, 1, self._dim)[0]
         return direction * (self.offset_norm / float(np.linalg.norm(direction)))
 
-    def draw_block(self, x, seed, step, count):
+    def batch_mean(self, x, seed, step, count):
         value, grad = self._value_grad(x)
-        grad = _as_vector(grad, self._dim) + self.offset(seed, step)
-        return np.tile(grad, (count, 1)), np.full(count, float(value))
+        return _as_vector(grad, self._dim) + self.offset(seed, step), float(value)
 
-    def value_block_crn(self, points, seed, step, count):
-        values = np.array([float(self._value_grad(p)[0]) for p in points])
-        return np.tile(values, (count, 1))
+    def value_means_crn(self, points, seed, step, count):
+        return np.array([float(self._value_grad(p)[0]) for p in points])

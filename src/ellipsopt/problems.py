@@ -18,7 +18,6 @@ from scipy.special import expit
 from . import _rng
 from .geometry import Ball, FeasibleSet, Vector, _as_vector, linear_optimality_gap
 from .oracles import GaussianOracle, StochasticGradOracle
-from .reporting import TERMINATION_CERTIFIED
 from .solver import SolverConfig, estimate_value_range, solve
 
 _LABEL_COLUMN = "y"
@@ -85,6 +84,12 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.add(out, np.maximum(z, 0.0), out=out)
 
 
+def _mean_loss_and_gradient(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[float, Vector]:
+    """Mean logistic loss and its gradient over the rows of X, labels y."""
+    z = X @ w
+    return float(np.mean(_softplus(z) - y * z)), (expit(z) - y) @ X / X.shape[0]
+
+
 class LogisticOracle(StochasticGradOracle):
     """One draw = the loss/gradient of a uniformly sampled dataset row.
 
@@ -121,9 +126,8 @@ class LogisticOracle(StochasticGradOracle):
 
     def batch_mean(self, x, seed, step, count):
         Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, count)
-        z = Xb @ x
-        gradient = (expit(z) - yb) @ Xb / count
-        return gradient, float(np.mean(_softplus(z) - yb * z))
+        value, gradient = _mean_loss_and_gradient(Xb, yb, x)
+        return gradient, value
 
     def value_means_crn(self, points, seed, step, count):
         Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
@@ -168,10 +172,7 @@ class LogisticProblem:
 
     def objective_and_gradient(self, weights) -> tuple[float, Vector]:
         w = _as_vector(weights, self.dimension)
-        z = self.dataset.features @ w
-        value = float(np.mean(_softplus(z) - self.dataset.labels * z))
-        residual = expit(z) - self.dataset.labels
-        return value, self.dataset.features.T @ residual / self.dataset.size
+        return _mean_loss_and_gradient(self.dataset.features, self.dataset.labels, w)
 
     def oracle(self) -> LogisticOracle:
         return LogisticOracle(self.dataset.features, self.dataset.labels)
@@ -261,7 +262,7 @@ def generate_synthetic(m: int, n: int, seed: int = 0, intercept: bool = True) ->
         raise ValueError("n must be at least 2")
     if m < 1:
         raise ValueError("m must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _rng.DATA_STREAM)))
+    rng = _rng.generator(seed, _rng.DATA_STREAM)
     gaussian_cols = n - 1 if intercept else n
     X = rng.standard_normal((m, gaussian_cols))
     if intercept:
@@ -287,7 +288,7 @@ def split_train_test(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0
         raise ValueError("test fraction must lie strictly inside (0, 1)")
     if dataset.size < 2:
         raise ValueError("need at least 2 rows to split")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _rng.SPLIT_STREAM)))
+    rng = _rng.generator(seed, _rng.SPLIT_STREAM)
     perm = rng.permutation(dataset.size)
     n_test = min(dataset.size - 1, max(1, int(round(dataset.size * test_fraction))))
     test_idx = np.sort(perm[:n_test])
@@ -348,11 +349,8 @@ def _newton_reference(problem: LogisticProblem, tol: float) -> tuple[Vector, flo
 
 def _cut_reference(problem, tol: float, seed: int) -> tuple[Vector, float]:
     """Zero-noise cut-solver run, budgeted so the worst-case gap bound clears
-    ``tol`` and stopped as soon as the exact-gradient certificate does.
-
-    A certified run returns its last center, the one that certified;
-    otherwise the run's own selection.
-    """
+    ``tol``; ``solve`` stops at, and returns, the first center whose
+    exact-gradient certificate clears it."""
     oracle = GaussianOracle(problem.objective_and_gradient, problem.feasible_set.dimension, sigma=0.0)
     value_range = estimate_value_range(oracle, problem.feasible_set, seed=seed)
     config = SolverConfig(
@@ -363,11 +361,7 @@ def _cut_reference(problem, tol: float, seed: int) -> tuple[Vector, float]:
         value_range=max(value_range, tol),
         certificate_stop=tol,
     )
-    report = solve(oracle, problem.feasible_set, config)
-    if report.termination == TERMINATION_CERTIFIED:
-        best = report.records[-1].center
-    else:
-        best = report.best_point
+    best = solve(oracle, problem.feasible_set, config).best_point
     return best, float(problem.objective(best))
 
 

@@ -48,8 +48,8 @@ class SolverReport:
     batch_size: int
     records: tuple[IterationRecord, ...]
     termination: str
-    # exact sample accounting: draws spent on gradient batches vs on
-    # value estimation (final selection and any internal probing)
+    # exact draw counts: gradient batches, and selection of the returned
+    # point (len(candidates) * batch for every oracle, 0 after an early stop)
     grad_draws: int = 0
     eval_draws: int = 0
 

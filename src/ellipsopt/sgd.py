@@ -61,7 +61,7 @@ def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Sgd
         records.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
         theta = feasible_set.project(theta - config.step_size * gradient)
 
-    _, point, estimate, eval_draws = _select_candidates([(len(records), theta, None)], oracle, batch)
+    _, point, estimate, eval_draws = _select_candidates([(len(records), theta)], oracle, batch)
     return SolverReport(
         best_point=point,
         best_estimate=estimate,

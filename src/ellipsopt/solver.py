@@ -4,7 +4,8 @@ The run starts from the feasible set's bounding ball and repeatedly halves an
 ellipsoid: at a feasible center it cuts along a minibatch gradient estimate,
 at an infeasible center along a separation hyperplane. After the budget is
 spent, every feasible center (including the one produced by the final update)
-competes in a fresh shared-noise evaluation, and the best one is returned.
+competes in a fresh shared-noise evaluation and the best one is returned; an
+early stop, on a zero gradient or a certificate, returns its own center.
 
 For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
@@ -52,8 +53,8 @@ from .reporting import (
 _SELECTION_STEP = 0
 _RANGE_PROBE_STEP = 1
 
-# range probe: feasible points sampled, draws per point for noisy oracles,
-# and the factor the observed spread is inflated by
+# range probe: feasible points sampled, draws per point, and the factor the
+# observed spread is inflated by
 _PROBE_POINTS = 100
 _PROBE_BATCH = 64
 _PROBE_SAFETY = 2.0
@@ -71,10 +72,10 @@ class SolverConfig:
     """Run parameters; fields left None are derived by ``resolve_plan``.
 
     ``value_range`` (the objective's max-min spread B) is estimated by
-    sampling when not supplied. ``certificate_stop`` enables an early stop for
-    noiseless oracles once the exact-gradient gap bound certifies the target;
-    it must stay None for noisy runs. ``workers`` has no effect; it is kept
-    so that existing callers and saved configs still load.
+    sampling when not supplied. ``certificate_stop`` ends a noiseless run at,
+    and returns, the first center the exact-gradient gap bound certifies; it
+    must stay None for noisy runs. ``workers`` has no effect; it is kept so
+    that existing callers and saved configs still load.
     """
 
     eps: float = 0.05
@@ -164,10 +165,8 @@ def estimate_value_range(
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _rng.PROBE_STREAM)))
-    points = feasible_set.sample(_PROBE_POINTS, rng)
-    batch = BatchSpec(size=1 if oracle.is_deterministic else _PROBE_BATCH, seed=seed)
-    values = estimate_values(oracle, points, batch, step=_RANGE_PROBE_STEP)
+    points = feasible_set.sample(_PROBE_POINTS, _rng.generator(seed, _rng.PROBE_STREAM))
+    values = estimate_values(oracle, points, BatchSpec(_PROBE_BATCH, seed), step=_RANGE_PROBE_STEP)
     return _PROBE_SAFETY * float(values.max() - values.min())
 
 
@@ -208,34 +207,23 @@ def resolve_plan(
 
 
 def _select_candidates(
-    candidates: list[tuple[int, Vector, float | None]],
+    candidates: list[tuple[int, Vector]],
     oracle: StochasticGradOracle,
     batch: BatchSpec,
 ) -> tuple[int, Vector, float, int]:
-    """Pick the candidate with the lowest estimated objective.
+    """Pick the (index, point) candidate with the lowest estimated objective.
 
-    Deterministic oracles reuse recorded estimates (they are exact); noisy
-    ones get one fresh common-random-numbers batch so all candidates are
-    compared under identical draws. Ties go to the lowest iteration index.
-    Returns (index, point, value, draws spent evaluating).
+    All candidates are scored on one fresh common-random-numbers batch (an
+    exact oracle gives exact values); ties go to the lowest index. Returns
+    (index, point, value, draws), with draws = len(candidates) * batch.size.
     """
     if not candidates:
         raise NoFeasiblePointError("no feasible center was visited")
-    if oracle.is_deterministic:
-        known = [c for c in candidates if c[2] is not None]
-        missing = [c for c in candidates if c[2] is None]
-        if missing:
-            points = np.vstack([c[1] for c in missing])
-            filled = estimate_values(oracle, points, BatchSpec(1, batch.seed), step=_SELECTION_STEP)
-            known += [(idx, pt, float(v)) for (idx, pt, _), v in zip(missing, filled)]
-        known.sort(key=lambda c: (c[2], c[0]))
-        idx, point, value = known[0]
-        return idx, point, float(value), len(missing)
-    points = np.vstack([c[1] for c in candidates])
+    points = np.vstack([point for _, point in candidates])
     values = estimate_values(oracle, points, batch, step=_SELECTION_STEP)
-    order = int(np.lexsort((np.array([c[0] for c in candidates]), values))[0])
-    draws = len(candidates) * batch.size
-    return candidates[order][0], candidates[order][1], float(values[order]), draws
+    best = int(np.lexsort((np.array([index for index, _ in candidates]), values))[0])
+    index, point = candidates[best]
+    return index, point, float(values[best]), len(candidates) * batch.size
 
 
 def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig) -> SolverReport:
@@ -259,7 +247,7 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
 
     records: list[IterationRecord] = []
     termination = TERMINATION_BUDGET
-    zero_grad_exit: tuple[Vector, float] | None = None
+    stopped_at: tuple[Vector, float] | None = None  # what an early stop returns
     grad_draws = 0
 
     for k in range(plan.iterations):
@@ -271,7 +259,7 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             grad_draws += plan.batch_size
             if float(np.linalg.norm(cut)) <= plan.zero_tol:
                 records.append(IterationRecord(k, center, True, CUT_ZERO_GRAD, estimate, log_det))
-                zero_grad_exit = (center, estimate)
+                stopped_at = (center, estimate)
                 termination = TERMINATION_ZERO_GRAD
                 break
             kind = CUT_SUBGRADIENT
@@ -285,6 +273,7 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             and feasible
             and linear_optimality_gap(feasible_set, center, cut) <= config.certificate_stop
         ):
+            stopped_at = (center, estimate)
             termination = TERMINATION_CERTIFIED
             break
         try:
@@ -293,15 +282,15 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             termination = TERMINATION_DEGENERATE
             break
 
-    if zero_grad_exit is not None:
-        point, estimate = zero_grad_exit
+    if stopped_at is not None:
+        point, estimate = stopped_at
         eval_draws = 0
     else:
-        candidates = [(r.index, r.center, r.f_estimate) for r in records if r.feasible]
+        candidates = [(r.index, r.center) for r in records if r.feasible]
         final_center = ellipsoid.center
         if feasible_set.contains(final_center):
             # the last update's center competes too, even without an oracle call
-            candidates.append((len(records), final_center, None))
+            candidates.append((len(records), final_center))
         _, point, estimate, eval_draws = _select_candidates(candidates, oracle, batch)
     return SolverReport(
         best_point=point,

@@ -58,8 +58,12 @@ def check_volume(steps: int = 100_000, dims: range = range(2, 21), seed: int = 0
     for dim in dims:
         target = shape_det_ratio(dim)
         for _ in range(per_dim):
+            # each step's nxt is the next step's ell: one slogdet per ellipsoid
+            log_det = None
             for ell, _, nxt in _random_step_chain(rng, dim, chain):
-                ratio = math.exp(nxt.log_det_shape() - ell.log_det_shape())
+                before = ell.log_det_shape() if log_det is None else log_det
+                log_det = nxt.log_det_shape()
+                ratio = math.exp(log_det - before)
                 worst = max(worst, abs(ratio - target) / target)
                 total += 1
     return ValidationResult(
@@ -134,14 +138,10 @@ def check_concentration(trials: int = 10_000, batch_sizes: tuple[int, ...] = (10
     )
 
 
-def _box_instances(rng: np.random.Generator, dim: int):
-    """One random quadratic and one random linear objective on the unit box."""
-    box = Box.centered(dim, 1.0)
-    target = rng.uniform(-0.6, 0.6, size=dim)
-    quad = QuadraticProblem(target, box)
-    slope = rng.standard_normal(dim)
-    lin = LinearProblem(slope, box)
-    return box, (quad, lin)
+def _box_instances(rng: np.random.Generator, box: Box):
+    """One random quadratic and one random linear objective on ``box``."""
+    quad = QuadraticProblem(rng.uniform(-0.6, 0.6, size=box.dimension), box)
+    return quad, LinearProblem(rng.standard_normal(box.dimension), box)
 
 
 def check_theorem1(instances: int = 20, dims: tuple[int, ...] = (2, 3, 4, 5),
@@ -164,8 +164,7 @@ def check_theorem1(instances: int = 20, dims: tuple[int, ...] = (2, 3, 4, 5),
         D = box.diameter
         min_budget = 2.0 * dim * dim * math.log(R / rho)
         for _ in range(instances):
-            _, problems = _box_instances(rng, dim)
-            for problem in problems:
+            for problem in _box_instances(rng, box):
                 f_best_true = problem.reference()[1]
                 # convex objectives attain their max over the box at a corner;
                 # the min needs the true optimum (interior for the quadratic)

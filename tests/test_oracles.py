@@ -271,9 +271,31 @@ def test_perturbed_oracle_offset_norm_and_exact_values():
     assert oracle.is_deterministic
     x = np.array([0.3, 0.4, -0.2])
     for step in range(5):
-        grads, values = oracle.draw_block(x, seed=0, step=step, count=1)
-        assert np.linalg.norm(grads[0] - 2.0 * x) == pytest.approx(eta, rel=1e-12)
-        assert values[0] == pytest.approx(float(x @ x), rel=1e-15)
+        gradient, value = oracle.batch_mean(x, seed=0, step=step, count=1)
+        assert np.linalg.norm(gradient - 2.0 * x) == pytest.approx(eta, rel=1e-12)
+        assert value == pytest.approx(float(x @ x), rel=1e-15)
+
+
+def shifted_value_grad(x):
+    x = np.asarray(x, dtype=np.float64)
+    return 0.1 + float(x @ x), 2.0 * x + 0.1
+
+
+@pytest.mark.parametrize("make", [lambda: GaussianOracle(shifted_value_grad, 3, sigma=0.0),
+                                  lambda: PerturbedOracle(shifted_value_grad, 3, 0.01)],
+                         ids=["gaussian-sigma0", "perturbed"])
+def test_exact_oracles_answer_exactly_at_any_batch_size(make):
+    # a mean of three copies of 0.1 rounds to 0.10000000000000002
+    oracle = make()
+    points = np.array([[0.0, 0.0, 0.0], [0.3, -0.1, 0.2]])
+    exact = [shifted_value_grad(p) for p in points]
+    for p, (value, grad) in zip(points, exact):
+        gradient, mean = oracle.batch_mean(p, seed=1, step=2, count=3)
+        assert _hex(mean) == _hex(value)
+        offset = oracle.offset(1, 2) if isinstance(oracle, PerturbedOracle) else 0.0
+        assert _hex(gradient) == _hex(grad + offset)
+    means = oracle.value_means_crn(points, seed=1, step=2, count=3)
+    assert _hex(means) == _hex([value for value, _ in exact])
 
 
 def test_verify_delta_subgradient_accepts_true_perturbation():

@@ -333,6 +333,20 @@ class TestErmReference:
         assert self._exact_gap(problem, newton_point) <= tol
         assert self._exact_gap(problem, cut_point) <= tol
 
+    def test_a_certified_solve_returns_the_center_that_certified(self, monkeypatch):
+        # seed 9's lowest-value center has a gap of 1.06e-4, above tol
+        problem = LogisticProblem(generate_synthetic(2000, 5, seed=9)[0])
+        tol = 1e-4
+        runs = self._cut_solves(monkeypatch)
+        point, _ = problems._cut_reference(problem, tol, 9)
+        (report,) = runs
+        assert report.termination == "certified"
+        np.testing.assert_array_equal(report.best_point, report.records[-1].center)
+        assert report.best_estimate == report.records[-1].f_estimate
+        assert report.eval_draws == 0
+        np.testing.assert_array_equal(point, report.best_point)
+        assert self._exact_gap(problem, point) <= tol
+
     def test_newton_backtracks_on_heavy_tailed_data(self, monkeypatch):
         # Cauchy features make the full Newton step overshoot, so Armijo
         # backtracking shrinks at least one step before it is accepted

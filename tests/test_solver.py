@@ -168,11 +168,10 @@ def test_selection_prefers_lowest_estimate_then_lowest_index():
     ball = Ball(np.zeros(2), 2.0)
     problem = QuadraticProblem(np.array([1.0, 0.0]), ball)
     exact = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
-    candidates = [(2, np.array([1.0, 0.0]), 0.0), (0, np.zeros(2), 1.0),
-                  (1, np.array([1.0, 0.0]), 0.0)]
+    candidates = [(2, np.array([1.0, 0.0])), (0, np.zeros(2)), (1, np.array([1.0, 0.0]))]
     idx, point, value, draws = _select_candidates(candidates, exact, BatchSpec(size=1, seed=0))
-    assert (idx, value, draws) == (1, 0.0, 0)
-    # noisy oracles re-estimate every candidate on one shared batch: equal
+    assert (idx, value, draws) == (1, 0.0, 3)
+    # every oracle re-estimates every candidate on one shared batch: equal
     # points get equal estimates, and the lower index wins the tie
     noisy = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.5)
     idx, point, value, draws = _select_candidates(candidates, noisy, BatchSpec(size=64, seed=0))
