@@ -9,11 +9,11 @@ D, which is what lets noisy means drive cut steps.
 
 A minibatch mean is one ``batch_mean`` call on counter-keyed streams, so
 it is a pure function of the point, the seed, the step and the batch size.
-The oracle computes the mean itself: the logistic oracle with one matrix
-product over the gathered rows, the noisy Gaussian oracle with numpy's mean
-of its per-draw ``draw_block`` array. Both are fixed for a fixed shape.
-Exact oracles (the Gaussian oracle at sigma = 0, the perturbed oracle)
-average nothing: they return exact values at every batch size.
+The logistic oracle reduces its gathered rows in one matrix product; the
+Gaussian oracle returns the exact answer plus terms in numpy's mean of its
+(count, n) noise block, which is zero at sigma = 0. Both are fixed for a
+fixed shape. The perturbed oracle averages nothing, so exact oracles
+return exact values at every batch size.
 """
 
 from __future__ import annotations
@@ -213,14 +213,15 @@ class GaussianOracle(StochasticGradOracle):
 
     One draw perturbs the exact gradient by zeta with per-coordinate variance
     sigma^2 / (2n); then E exp(||zeta||^2 / sigma^2) = (1 - 1/n)^(-n/2) <= e
-    for n >= 2. The matching value draw is f(x) + <zeta, x - anchor>, i.e.
-    value and gradient noise come from one linear perturbation of f, so a
-    shared-noise value comparison between nearby points stays informative.
+    for n >= 2. The matching value draw is f(x) + <zeta, x>: value and
+    gradient noise come from one linear perturbation of f, so a shared-noise
+    value comparison between nearby points stays informative, and a batch's
+    means are g(x) + mean(zeta) and f(x) + <mean(zeta), x>.
 
     ``sigma`` equal to zero makes the oracle exact (and deterministic).
     """
 
-    def __init__(self, value_grad, dimension: int, sigma: float, anchor=None) -> None:
+    def __init__(self, value_grad, dimension: int, sigma: float) -> None:
         if dimension < 2:
             raise ValueError("oracle dimension must be >= 2")
         if sigma < 0:
@@ -228,7 +229,6 @@ class GaussianOracle(StochasticGradOracle):
         self._value_grad = value_grad
         self._dim = int(dimension)
         self.sigma = float(sigma)
-        self.anchor = np.zeros(self._dim) if anchor is None else _as_vector(anchor, self._dim)
         self._noise_scale = self.sigma / math.sqrt(2.0 * self._dim)
 
     @property
@@ -243,27 +243,27 @@ class GaussianOracle(StochasticGradOracle):
         value, grad = self._value_grad(x)
         return float(value), _as_vector(grad, self._dim)
 
+    def _noise(self, seed, stream, step, count) -> np.ndarray:
+        """(count, n) noise draws zeta of the substream (seed, stream, step)."""
+        key = _rng.stream_key(seed, stream, step)
+        return self._noise_scale * _rng.standard_normals(key, count, self._dim)
+
     def draw_block(self, x, seed, step, count):
         """(count, n) gradient and (count,) value draws of the stream (seed, step)."""
         value, grad = self._exact(x)
-        key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
-        noise = self._noise_scale * _rng.standard_normals(key, count, self._dim)
-        return grad + noise, value + noise @ (x - self.anchor)
+        noise = self._noise(seed, _rng.GRAD_STREAM, step, count)
+        return grad + noise, value + noise @ x
 
     def batch_mean(self, x, seed, step, count):
-        if self.sigma == 0.0:
-            value, grad = self._exact(x)
-            return grad, value
-        grads, values = self.draw_block(x, seed, step, count)
-        return _rng.pairwise_mean(grads), float(_rng.pairwise_mean(values))
+        value, grad = self._exact(x)
+        zeta = _rng.pairwise_mean(self._noise(seed, _rng.GRAD_STREAM, step, count))
+        return grad + zeta, float(value + zeta @ x)
 
     def value_means_crn(self, points, seed, step, count):
         values = np.array([self._exact(p)[0] for p in points])
-        if self.sigma == 0.0:
-            return values
-        key = _rng.stream_key(seed, _rng.EVAL_STREAM, step)
-        noise = self._noise_scale * _rng.standard_normals(key, count, self._dim)
-        return _rng.pairwise_mean(values + noise @ (points - self.anchor).T)
+        zeta = _rng.pairwise_mean(self._noise(seed, _rng.EVAL_STREAM, step, count))
+        # a row sum, unlike a matrix product, gives a point the same bits in any block
+        return values + (points * zeta).sum(axis=1)
 
 
 class PerturbedOracle(StochasticGradOracle):
@@ -294,8 +294,6 @@ class PerturbedOracle(StochasticGradOracle):
         return True
 
     def offset(self, seed: int, step: int) -> np.ndarray:
-        if self.offset_norm == 0.0:
-            return np.zeros(self._dim)
         key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
         direction = _rng.standard_normals(key, 1, self._dim)[0]
         return direction * (self.offset_norm / float(np.linalg.norm(direction)))

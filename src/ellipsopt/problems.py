@@ -98,9 +98,9 @@ class LogisticOracle(StochasticGradOracle):
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
-        self._X = np.asarray(features, dtype=np.float64)
-        self._y = np.asarray(labels, dtype=np.float64)
-        if self._X.shape[1] < 2:
+        data = Dataset(features, labels)
+        self._X, self._y = data.features, data.labels
+        if data.width < 2:
             raise ValueError("oracle dimension must be >= 2")
 
     def _rows(self, seed: int, step: int, stream: int, count: int):

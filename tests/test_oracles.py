@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsopt import oracles
+from ellipsopt import _rng, oracles
 from ellipsopt.geometry import Ball, Box
 from ellipsopt.oracles import (
     BatchSpec,
@@ -28,6 +28,11 @@ from ellipsopt.problems import LogisticOracle, generate_synthetic
 def quad_value_grad(x):
     x = np.asarray(x, dtype=np.float64)
     return float(x @ x), 2.0 * x
+
+
+def shifted_value_grad(x):
+    x = np.asarray(x, dtype=np.float64)
+    return 0.1 + float(x @ x), 2.0 * x + 0.1
 
 
 def test_concentration_radius_closed_form():
@@ -101,10 +106,34 @@ def test_gaussian_oracle_noise_is_subgaussian():
 
 
 def test_gaussian_oracle_value_noise_is_consistent_with_gradient():
-    # values are perturbed by <zeta, x - anchor>: at the anchor they are exact
-    oracle = GaussianOracle(quad_value_grad, 2, sigma=2.0, anchor=np.array([1.0, 1.0]))
-    _, values = oracle.draw_block(np.array([1.0, 1.0]), seed=5, step=0, count=8)
-    assert np.allclose(values, 2.0, rtol=1e-12)
+    # values are perturbed by <zeta, x>: at x = 0 they are exact
+    oracle = GaussianOracle(shifted_value_grad, 2, sigma=2.0)
+    origin = np.zeros(2)
+    _, values = oracle.draw_block(origin, seed=5, step=0, count=8)
+    assert _hex(values) == _hex([0.1] * 8)
+    assert _hex(oracle.batch_mean(origin, seed=5, step=0, count=8)[1]) == _hex(0.1)
+    means = oracle.value_means_crn(np.zeros((3, 2)), seed=5, step=0, count=8)
+    assert _hex(means) == _hex([0.1] * 3)
+
+
+@pytest.mark.parametrize("n", [2, 20])
+@pytest.mark.parametrize("count", [1, 999, 21888])
+def test_gaussian_means_equal_the_mean_of_the_per_draw_reference(n, count):
+    sigma, seed, step = 0.8, 3, 4
+    oracle = GaussianOracle(quad_value_grad, n, sigma=sigma)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-0.5, 0.5, size=n)
+    grads, values = oracle.draw_block(x, seed, step, count)
+    gradient, value = oracle.batch_mean(x, seed, step, count)
+    np.testing.assert_allclose(gradient, grads.mean(axis=0), rtol=0, atol=1e-12)
+    assert abs(value - values.mean()) <= 1e-12
+    # value draws f(p) + <zeta, p> at each point, zeta from the eval stream
+    points = rng.uniform(-0.5, 0.5, size=(5, n))
+    key = _rng.stream_key(seed, _rng.EVAL_STREAM, step)
+    zeta = sigma / math.sqrt(2 * n) * _rng.standard_normals(key, count, n)
+    draws = np.einsum("ij,ij->i", points, points) + zeta @ points.T
+    means = oracle.value_means_crn(points, seed, step, count)
+    np.testing.assert_allclose(means, draws.mean(axis=0), rtol=0, atol=1e-12)
 
 
 # Batch means recorded bit for bit (float.hex). They move if the Philox word
@@ -115,9 +144,9 @@ PINNED_LOGISTIC_GRADIENT = ["-0x1.c0ff087d81efcp-7", "0x1.44d3b6073ae48p-4",
                             "-0x1.71e52568b13a3p-3", "0x1.4ab1266f60e91p-2",
                             "-0x1.30c5b6dddc5e0p-2"]
 PINNED_LOGISTIC_VALUE = "0x1.0b79389dde48bp+0"
-PINNED_GAUSSIAN_GRADIENT = ["0x1.9a592972e6d7fp-2", "-0x1.6458225fa7c0ap+0",
-                            "0x1.1a9eafe135766p+1"]
-PINNED_GAUSSIAN_VALUE = "0x1.bd3d8775c6c3ap+0"
+PINNED_GAUSSIAN_GRADIENT = ["0x1.9a592972e6d76p-2", "-0x1.6458225fa7bffp+0",
+                            "0x1.1a9eafe135762p+1"]
+PINNED_GAUSSIAN_VALUE = "0x1.be48393ab9247p+0"
 PINNED_ESTIMATES = ["0x1.5bae17fa398b2p-1", "0x1.10fc2c66d8b5cp+0", "0x1.65919317a54fcp-1"]
 
 
@@ -134,7 +163,7 @@ def _pinned_means():
     gradient, value = minibatch_gradient(logistic, w, BatchSpec(size=4096, seed=7), step=11)
     points = np.array([[0.3, 0.1, -0.2, 0.0, 0.4], w, -w])
     values = estimate_values(logistic, points, BatchSpec(size=4096, seed=7), step=2)
-    gaussian = GaussianOracle(quad_value_grad, 3, sigma=0.5, anchor=np.array([0.1, 0.2, 0.3]))
+    gaussian = GaussianOracle(quad_value_grad, 3, sigma=0.5)
     g_gradient, g_value = minibatch_gradient(gaussian, np.array([0.2, -0.7, 1.1]),
                                              BatchSpec(size=999, seed=5), step=3)
     return _hex(gradient), _hex(value), _hex(values), _hex(g_gradient), _hex(g_value)
@@ -150,8 +179,8 @@ def test_batch_means_are_pinned_to_recorded_bits():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_pinned_logistic_bits_hold_under_one_and_two_blas_threads(threads):
-    # the matrix products that reduce a batch, and the Gaussian value draw
-    # noise @ (x - anchor), must not round by thread count
+    # the matrix products that reduce a batch, and the Gaussian value term
+    # <mean noise, x>, must not round by thread count
     root = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
@@ -219,18 +248,25 @@ def _recording_block_widths(oracle, widths):
     oracle.value_means_crn = recording
 
 
-def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch):
-    ds, _ = generate_synthetic(300, 55, seed=3)
-    logistic = LogisticOracle(ds.features, ds.labels)
+def _logistic_oracle(n):
+    ds, _ = generate_synthetic(300, n, seed=3)
+    return LogisticOracle(ds.features, ds.labels)
+
+
+@pytest.mark.parametrize("make, n", [(_logistic_oracle, 55),
+                                     (lambda n: GaussianOracle(quad_value_grad, n, 0.5), 20)],
+                         ids=["logistic-n55", "gaussian-n20"])
+def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch, make, n):
+    oracle = make(n)
     batch = BatchSpec(size=4096, seed=7)
     per_block = oracles._MAX_BLOCK_DRAWS // batch.size
-    points = np.random.default_rng(0).uniform(-0.3, 0.3, size=(2 * per_block + 1, 55))
+    points = np.random.default_rng(0).uniform(-0.3, 0.3, size=(2 * per_block + 1, n))
     widths = []
-    _recording_block_widths(logistic, widths)
-    values = estimate_values(logistic, points, batch, step=2)
+    _recording_block_widths(oracle, widths)
+    values = estimate_values(oracle, points, batch, step=2)
     assert len(widths) == 3
     monkeypatch.setattr(oracles, "_MAX_BLOCK_DRAWS", batch.size * points.shape[0])
-    assert _hex(values) == _hex(estimate_values(logistic, points, batch, step=2))
+    assert _hex(values) == _hex(estimate_values(oracle, points, batch, step=2))
     assert widths[-1] == points.shape[0]
 
 
@@ -274,11 +310,6 @@ def test_perturbed_oracle_offset_norm_and_exact_values():
         gradient, value = oracle.batch_mean(x, seed=0, step=step, count=1)
         assert np.linalg.norm(gradient - 2.0 * x) == pytest.approx(eta, rel=1e-12)
         assert value == pytest.approx(float(x @ x), rel=1e-15)
-
-
-def shifted_value_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    return 0.1 + float(x @ x), 2.0 * x + 0.1
 
 
 @pytest.mark.parametrize("make", [lambda: GaussianOracle(shifted_value_grad, 3, sigma=0.0),

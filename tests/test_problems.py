@@ -174,6 +174,16 @@ class TestLogisticOracle:
         with pytest.raises(ValueError):
             LogisticOracle(np.ones((4, 1)), np.zeros(4))
 
+    @pytest.mark.parametrize("features, labels", [
+        (np.ones((5, 3)), np.ones(4)),
+        (np.ones(5), np.ones(5)),
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0.0, 1.0])),
+        (np.ones((2, 3)), np.array([0.0, 2.0])),
+    ], ids=["label-count", "one-dimensional-features", "nan-feature", "label-2"])
+    def test_rejects_bad_input_at_construction(self, features, labels):
+        with pytest.raises(ValueError):
+            LogisticOracle(features, labels)
+
 
 def test_sample_oracle_replays_and_draws_real_rows():
     problem = _toy_problem(m=6)
