@@ -33,6 +33,9 @@ _NEWTON_MAX_STEPS = 50
 _ARMIJO_FRACTION = 1e-4
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_MAX_SHRINKS = 30
+# the loss passes after a full-data matrix product run over row blocks of
+# about this many elements (512 KB), which stay in L2 between passes
+_LOSS_BLOCK_ELEMENTS = 2**16
 
 DEFAULT_WEIGHT_RADIUS = 10.0
 
@@ -71,17 +74,25 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
+def _softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), finite for any z.
 
-    Built in its result, with one temporary; ``out=`` keeps a 0-d input 0-d.
+    Built in ``out`` (a new array by default) with one temporary; writing
+    through ``out=`` keeps a 0-d input 0-d.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.abs(z, out=np.empty_like(z))
+    out = np.abs(z, out=np.empty_like(z) if out is None else out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
     return np.add(out, np.maximum(z, 0.0), out=out)
+
+
+def _losses_into(z: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-sample losses softplus(z) - y z into ``out``; ``z`` becomes y z."""
+    _softplus(z, out=out)
+    z *= y
+    return np.subtract(out, z, out=out)
 
 
 def _mean_loss_and_gradient(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[float, Vector]:
@@ -131,12 +142,16 @@ class LogisticOracle(StochasticGradOracle):
 
     def value_means_crn(self, points, seed, step, count):
         Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
-        # one row per point: row slices keep their bits (``estimate_values``)
+        # one row per point: row slices keep their bits (``estimate_values``),
+        # and each row block of losses takes its own row means
         z = points @ Xb.T
-        losses = _softplus(z)
-        z *= yb
-        losses -= z
-        return losses.mean(axis=1)
+        rows = max(1, _LOSS_BLOCK_ELEMENTS // count)
+        losses = np.empty((min(rows, z.shape[0]), count))
+        means = np.empty(z.shape[0])
+        for lo in range(0, z.shape[0], rows):
+            block = losses[: min(rows, z.shape[0] - lo)]
+            means[lo : lo + rows] = _losses_into(z[lo : lo + rows], yb, block).mean(axis=1)
+        return means
 
 
 class LogisticProblem:
@@ -160,12 +175,25 @@ class LogisticProblem:
         return float(self.objective_many(np.asarray(weights, dtype=np.float64)[None, :])[0])
 
     def objective_many(self, weight_rows: np.ndarray) -> np.ndarray:
-        """Full-data mean loss at each row of (k, n) weights."""
+        """Full-data mean loss at each row of (k, n) weights.
+
+        The loss passes run over row blocks of the one product ``X @ W.T``.
+        Row 0 of the block buffer carries the column sums so far into the
+        next block's reduction, so the rows add in the order of one pass
+        over the whole product. numpy sums a single column pairwise, not row
+        by row, so one column is one block.
+        """
         Z = self.dataset.features @ np.asarray(weight_rows, dtype=np.float64).T
-        losses = _softplus(Z)
-        Z *= self.dataset.labels[:, None]
-        losses -= Z
-        return losses.mean(axis=0)
+        labels = self.dataset.labels[:, None]
+        m, k = Z.shape
+        rows = m if k <= 1 else max(1, _LOSS_BLOCK_ELEMENTS // k)
+        buf = np.empty((min(rows, m) + 1, k))
+        for lo in range(0, m, rows):
+            end = min(rows, m - lo) + 1
+            _losses_into(Z[lo : lo + rows], labels[lo : lo + rows], buf[1:end])
+            # the first block has no sums to carry
+            buf[0] = np.add.reduce(buf[0 if lo else 1 : end], axis=0)
+        return buf[0] / m
 
     def gradient(self, weights) -> Vector:
         return self.objective_and_gradient(weights)[1]

@@ -1,5 +1,11 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,3 +399,37 @@ class TestRunExperiment:
             assert (tmp_path / "second" / name).read_bytes() == (
                 tmp_path / "first" / name
             ).read_bytes()
+
+
+# sha256 of the two traces and of summary.csv without its wall_time_s
+# column, for run_experiment at m=20000, n=10, seed 0 and 150 iterations per
+# solver (the experiment-n10 benchmark's run). They move only when a change
+# to the draws, the kernels, the reductions or the file format is meant to.
+PINNED_EXPERIMENT_DIGESTS = [
+    "d7972483182b268f050f18641a750804d459b8c7ab72242fe1d40e5d08196deb",
+    "6b4ae6a7a702d97db3114146377f2d383c87ca8071231bf4888c9a004380525c",
+    "ac2ff31ddee55e91da807a7671fc8cb0ec4a85b1305fed678d2aea06d048d152",
+]
+
+
+def _experiment_digests() -> list[str]:
+    with tempfile.TemporaryDirectory() as out_dir:
+        outcome = run_experiment(BenchConfig(m=20000, n=10, seeds=(0,), max_iters=150,
+                                             out_dir=out_dir))
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in outcome.trace_paths]
+        wall = SUMMARY_COLUMNS.index("wall_time_s")
+        rows = [line.split(",") for line in outcome.summary_path.read_text(encoding="utf-8").splitlines()]
+    summary = "\n".join(",".join(row[:wall] + row[wall + 1:]) for row in rows)
+    return digests + [hashlib.sha256(summary.encode("utf-8")).hexdigest()]
+
+
+def test_experiment_artifacts_are_pinned_to_recorded_bits():
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
+                                                       os.environ.get("PYTHONPATH")])))
+    code = "import test_bench; print(test_bench._experiment_digests())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == repr(PINNED_EXPERIMENT_DIGESTS)

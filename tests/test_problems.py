@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from ellipsopt import problems
+from ellipsopt import _rng, problems
 from ellipsopt.geometry import Ball, _as_vector, linear_optimality_gap
 from ellipsopt.problems import (
     Dataset,
@@ -148,6 +149,68 @@ def test_softplus_matches_logaddexp_within_two_ulp():
         out = problems._softplus(np.asarray(v))
         assert out.shape == ()
         assert abs(out - np.logaddexp(0.0, v)) <= 2 * np.spacing(np.logaddexp(0.0, v))
+
+
+def _one_pass_losses(z, y):
+    """softplus(z) - y z over a whole product at once: the one-pass formula
+    the blocked loss passes must reproduce bit for bit."""
+    losses = problems._softplus(z)
+    z *= y
+    losses -= z
+    return losses
+
+
+def _block_cases():
+    """(width, rows) around the first block edge of each product width."""
+    cases = []
+    for width in (1, 2, 3, 150, 511, 512):
+        b = problems._LOSS_BLOCK_ELEMENTS // width
+        cases += [(width, rows) for rows in (1, b - 1, b, b + 1, 4000)]
+    return cases
+
+
+def _spread_weights(k, n, seed):
+    """k weight rows whose logits run from near 0 into saturation."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((k, n)) * rng.uniform(0.01, 8.0, (k, 1))
+
+
+class TestBlockedLossPasses:
+    @pytest.mark.parametrize("n", [10, 55])
+    @pytest.mark.parametrize("k, m", _block_cases())
+    def test_objective_many_equals_one_pass(self, k, m, n):
+        problem = LogisticProblem(generate_synthetic(m, n, seed=k)[0])
+        W = _spread_weights(k, n, seed=m)
+        X, y = problem.dataset.features, problem.dataset.labels
+        reference = _one_pass_losses(X @ W.T, y[:, None]).mean(axis=0)
+        assert np.array_equal(problem.objective_many(W), reference)
+
+    @pytest.mark.parametrize("n", [10, 55])
+    @pytest.mark.parametrize("count, points", _block_cases())
+    def test_value_means_equal_one_pass(self, count, points, n):
+        oracle = LogisticProblem(generate_synthetic(2000, n, seed=n)[0]).oracle()
+        P = _spread_weights(points, n, seed=count)
+        Xb, yb = oracle._rows(5, 3, _rng.EVAL_STREAM, count)
+        reference = _one_pass_losses(P @ Xb.T, yb).mean(axis=1)
+        assert np.array_equal(oracle.value_means_crn(P, 5, 3, count), reference)
+
+    def test_objective_many_peaks_below_the_one_pass_version(self):
+        problem = LogisticProblem(generate_synthetic(10000, 55, seed=3)[0])
+        W = _spread_weights(512, 55, seed=4)
+        X, y = problem.dataset.features, problem.dataset.labels
+
+        def peak_bytes(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked = peak_bytes(lambda: problem.objective_many(W))
+        one_pass = peak_bytes(lambda: _one_pass_losses(X @ W.T, y[:, None]).mean(axis=0))
+        # one (10000, 512) product against the product, its losses and a temporary
+        assert blocked < one_pass / 2
 
 
 class TestLogisticOracle:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from numpy.random import Philox, SeedSequence
+from scipy.special import ndtri
 
 from ellipsopt import _rng
+
+STREAM_TAGS = (_rng.GRAD_STREAM, _rng.EVAL_STREAM, _rng.DATA_STREAM,
+               _rng.SPLIT_STREAM, _rng.PROBE_STREAM)
 
 
 def test_stream_keys_differ_by_any_coordinate():
@@ -14,6 +19,50 @@ def test_stream_keys_differ_by_any_coordinate():
 def test_stream_key_rejects_negative():
     with pytest.raises(ValueError):
         _rng.stream_key(-1, 0, 0)
+    with pytest.raises(ValueError):
+        _rng.stream_key(0, 0, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32])
+def test_stream_key_is_the_seed_sequence_state(seed):
+    block = _rng.KEY_BLOCK
+    for stream in STREAM_TAGS:
+        for step in (0, block - 1, block, block + 1, 2**32 - 1, 2**32):
+            reference = SeedSequence((seed, stream, step)).generate_state(2, np.uint64)
+            key = _rng.stream_key(seed, stream, step)
+            assert key.dtype == np.uint64
+            assert np.array_equal(key, reference), (seed, stream, step)
+
+
+@pytest.mark.parametrize("coords", [(3, 1, 5), (3, 1, 2**32)])
+def test_stream_keys_are_read_only(coords):
+    key = _rng.stream_key(*coords)
+    with pytest.raises(ValueError):
+        key[0] = 0
+
+
+def test_key_cache_stays_bounded():
+    for seed in range(1000):
+        _rng.stream_key(seed, _rng.GRAD_STREAM, 0)
+    info = _rng._key_block.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_interleaved_draws_each_read_a_fresh_philox():
+    keys = [_rng.stream_key(seed, stream, step)
+            for seed, stream, step in [(0, 0, 0), (1, 1, 7), (2, 0, 2**32), (5, 4, 1025)]]
+    for i in range(12):
+        key = keys[i // 2 % len(keys)]
+        count = 1 + 37 * i % 101
+        raw = Philox(key=key).random_raw(count * 3)
+        if i % 2:
+            expected = ndtri(_rng.open_uniforms(raw.reshape(count, 3)))
+            assert np.array_equal(_rng.standard_normals(key, count, 3), expected)
+        else:
+            upper = 1000 + i
+            u = (raw[:count] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            expected = np.minimum((u * upper).astype(np.int64), upper - 1)
+            assert np.array_equal(_rng.uniform_indices(key, count, upper), expected)
 
 
 def test_normals_are_deterministic_and_standard():
