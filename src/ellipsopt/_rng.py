@@ -125,14 +125,19 @@ def generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def open_uniforms(raw: np.ndarray) -> np.ndarray:
-    # strictly inside (0, 1) so inverse-CDF transforms stay finite
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    """Uniforms strictly inside (0, 1), so inverse-CDF transforms stay finite:
+    one new float64 block, built in place; shifts the words ``raw`` in place."""
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return u
 
 
 def standard_normals(key: np.ndarray, count: int, dims: int) -> np.ndarray:
     """(count, dims) standard normals, one row per batch element."""
-    raw = _raw_words(key, count * dims)
-    return ndtri(open_uniforms(raw.reshape(count, dims)))
+    u = open_uniforms(_raw_words(key, count * dims).reshape(count, dims))
+    return ndtri(u, out=u)
 
 
 def uniform_indices(key: np.ndarray, count: int, upper: int) -> np.ndarray:

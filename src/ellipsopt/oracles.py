@@ -245,8 +245,8 @@ class GaussianOracle(StochasticGradOracle):
 
     def _noise(self, seed, stream, step, count) -> np.ndarray:
         """(count, n) noise draws zeta of the substream (seed, stream, step)."""
-        key = _rng.stream_key(seed, stream, step)
-        return self._noise_scale * _rng.standard_normals(key, count, self._dim)
+        noise = _rng.standard_normals(_rng.stream_key(seed, stream, step), count, self._dim)
+        return np.multiply(noise, self._noise_scale, out=noise)
 
     def draw_block(self, x, seed, step, count):
         """(count, n) gradient and (count,) value draws of the stream (seed, step)."""

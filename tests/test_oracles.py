@@ -301,6 +301,26 @@ def test_estimate_values_memory_stays_bounded_by_the_block_size():
     assert peak <= bound
 
 
+# bytes of one (21888, 2) float64 block: theorem2-n2's noise at its theory batch
+_NOISE_BLOCK_BYTES = 8 * 21888 * 2
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: _rng.standard_normals(_rng.stream_key(3, _rng.GRAD_STREAM, 4), 21888, 2),
+    lambda: GaussianOracle(quad_value_grad, 2, sigma=0.25).batch_mean(
+        np.array([0.1, -0.2]), 3, 4, 21888),
+], ids=["standard_normals", "gaussian_batch_mean"])
+def test_a_gaussian_draw_peaks_at_two_noise_blocks(draw):
+    draw()  # the key table is cached, not part of a draw
+    tracemalloc.start()
+    try:
+        draw()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _NOISE_BLOCK_BYTES + 64 * 1024
+
+
 def test_perturbed_oracle_offset_norm_and_exact_values():
     eta = 0.01
     oracle = PerturbedOracle(quad_value_grad, 3, eta)

@@ -1,5 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from ellipsopt.geometry import Ball
+from ellipsopt.oracles import GaussianOracle
+from ellipsopt.problems import QuadraticProblem
+from ellipsopt.solver import SolverConfig, solve
 from ellipsopt.validation import (
     SUITE_NAMES,
     ValidationResult,
@@ -81,3 +92,40 @@ def test_run_suite_forwards_keyword_arguments():
     assert result.suite == "gradcheck"
     assert result.metrics["points"] == 3.0
     assert result.runtime_s >= 0.0
+
+
+# sha256 of repr((best_estimate, best_point.tolist(), iterations, batch_size))
+# for the first three solves of criterion 4's configuration (check_theorem2
+# at seed 0, so solver seeds 1-3), hashed as the theorem2-n2 benchmark hashes
+# them. They move only when a change to the normals, the noise mean or the
+# solver is meant to.
+PINNED_THEOREM2_DIGESTS = [
+    "21dcf16de896676c3869a30438cc5bbaa3feba5b83c03909dd99c7eb708c35e9",
+    "33dd80327a946cb72001d4ec13b78bef4cb6bf93345537a5c56bb76cbbdb946d",
+    "60fcef067eb02c2f10f11ab141edb4e750abe6d880e6d50d1c7752f0f143aae4",
+]
+
+
+def _theorem2_digests() -> list[str]:
+    ball = Ball(np.zeros(2), 1.0)
+    problem = QuadraticProblem(np.random.default_rng(0).uniform(-0.5, 0.5, size=2), ball)
+    digests = []
+    for seed in (1, 2, 3):
+        oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.25)
+        report = solve(oracle, ball, SolverConfig(eps=0.05, beta=0.2, sigma=0.25, seed=seed))
+        record = repr((report.best_estimate, report.best_point.tolist(), report.iterations,
+                       report.batch_size))
+        digests.append(hashlib.sha256(record.encode("utf-8")).hexdigest())
+    return digests
+
+
+def test_theorem2_solves_are_pinned_to_recorded_bits():
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
+                                                       os.environ.get("PYTHONPATH")])))
+    code = "import test_validation; print(test_validation._theorem2_digests())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == repr(PINNED_THEOREM2_DIGESTS)
