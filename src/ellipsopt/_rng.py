@@ -9,8 +9,8 @@ and cached read-only. A batch is drawn serially in one call: element ``l``
 of a ``dims``-wide draw reads the 64-bit words ``[l * dims, (l + 1) * dims)``
 of its Philox substream, so a shorter draw is a prefix of a longer one.
 Normals come from the inverse CDF, a fixed consumption per element unlike
-rejection samplers. Batch means are numpy's ``mean`` over a block of a
-fixed shape, so their rounding is fixed by the batch size.
+rejection samplers. A batch mean sums each column of its block pairwise as
+one contiguous run, so its rounding is fixed by the batch shape.
 """
 
 from __future__ import annotations
@@ -108,14 +108,8 @@ _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 def _raw_words(key: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` 64-bit words of ``Philox(key=key)``."""
-    _PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": key},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _PHILOX.state = {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
+                     "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return _PHILOX.random_raw(count)
 
 
@@ -125,8 +119,9 @@ def generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def open_uniforms(raw: np.ndarray) -> np.ndarray:
-    """Uniforms strictly inside (0, 1), so inverse-CDF transforms stay finite:
-    one new float64 block, built in place; shifts the words ``raw`` in place."""
+    """Uniforms (k + 0.5) * 2**-53 of the top 53 bits k of each word, built in
+    one new float64 block; ``raw`` is shifted in place. All lie inside (0, 1)
+    but that of k = 2**53 - 1, which rounds to 1.0."""
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u += 0.5
@@ -149,9 +144,6 @@ def uniform_indices(key: np.ndarray, count: int, upper: int) -> np.ndarray:
 
 
 def pairwise_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 of a (count, ...) block of per-draw rows.
-
-    The name stays while the benchmark traces ``rng.pairwise_mean``; ROADMAP
-    item 1 renames that span.
-    """
-    return np.mean(rows, axis=0)
+    """Column means of a (count, dims) block, each column copied into one
+    contiguous run and summed pairwise: the bits depend only on the shape."""
+    return np.ascontiguousarray(rows.T).mean(axis=1)

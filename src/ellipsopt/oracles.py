@@ -10,10 +10,10 @@ D, which is what lets noisy means drive cut steps.
 A minibatch mean is one ``batch_mean`` call on counter-keyed streams, so
 it is a pure function of the point, the seed, the step and the batch size.
 The logistic oracle reduces its gathered rows in one matrix product; the
-Gaussian oracle returns the exact answer plus terms in numpy's mean of its
-(count, n) noise block, which is zero at sigma = 0. Both are fixed for a
-fixed shape. The perturbed oracle averages nothing, so exact oracles
-return exact values at every batch size.
+Gaussian oracle returns the exact answer plus terms in the pairwise column
+means of its (count, n) noise block, which are zero at sigma = 0. Both are
+fixed for a fixed shape. The perturbed oracle averages nothing, so exact
+oracles return exact values at every batch size.
 """
 
 from __future__ import annotations

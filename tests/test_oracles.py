@@ -192,6 +192,24 @@ def test_pinned_logistic_bits_hold_under_one_and_two_blas_threads(threads):
     assert run.stdout.strip() == repr(PINNED_MEANS)
 
 
+# The Gaussian batch gradient at the quadratic's minimiser, where the exact
+# gradient is 0 and the result is the noise mean itself, recorded bit for bit
+# (float.hex) for (count, n). Unlike the pins above, these see the order in
+# which the noise mean is summed.
+PINNED_NOISE_MEANS = {
+    (21888, 2): ["0x1.13bbe2fab12dep-10", "0x1.bb1b21fed3d1fp-10"],
+    (999, 3): ["0x1.7f1fb29a7b7a0p-11", "0x1.0722035f53369p-7", "0x1.0516479bdc848p-7"],
+}
+
+
+@pytest.mark.parametrize("count, n", sorted(PINNED_NOISE_MEANS))
+def test_noise_means_are_pinned_to_recorded_bits(count, n):
+    oracle = GaussianOracle(quad_value_grad, n, sigma=0.5)
+    gradient, value = oracle.batch_mean(np.zeros(n), seed=5, step=3, count=count)
+    assert _hex(gradient) == PINNED_NOISE_MEANS[count, n]
+    assert value == 0.0
+
+
 # unit roundoff of float64
 _U = 2.0**-53
 

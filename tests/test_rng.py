@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.random import Philox, SeedSequence
@@ -98,3 +100,18 @@ def test_a_shorter_draw_is_a_prefix_of_a_longer_one(count):
                           _rng.standard_normals(key, count, 3))
     assert np.array_equal(_rng.uniform_indices(key, 2 * count, 1000)[:count],
                           _rng.uniform_indices(key, count, 1000))
+
+
+@pytest.mark.parametrize("count, dims", [(1, 3), (1, 1), (999, 1), (21888, 2), (4097, 7)])
+def test_pairwise_mean_is_layout_free_and_within_the_pairwise_bound(count, dims):
+    rows = np.random.default_rng(count + dims).standard_normal((count, dims)) + 0.25
+    mean = _rng.pairwise_mean(np.ascontiguousarray(rows))
+    assert mean.shape == (dims,)
+    assert mean.tobytes() == _rng.pairwise_mean(np.asfortranarray(rows)).tobytes()
+    # numpy's pairwise sum passes a term through at most 25 additions within
+    # a 128-term block and one per halving above it; the mean and the fsum
+    # reference are each rounded once more
+    depth = 25 + max(0, math.ceil(math.log2(count / 128)))
+    exact = np.array([math.fsum(column) / count for column in rows.T])
+    bound = (depth + 2) * 2.0**-53 * np.abs(rows).mean(axis=0)
+    assert np.all(np.abs(mean - exact) <= bound)

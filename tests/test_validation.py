@@ -100,9 +100,9 @@ def test_run_suite_forwards_keyword_arguments():
 # them. They move only when a change to the normals, the noise mean or the
 # solver is meant to.
 PINNED_THEOREM2_DIGESTS = [
-    "21dcf16de896676c3869a30438cc5bbaa3feba5b83c03909dd99c7eb708c35e9",
-    "33dd80327a946cb72001d4ec13b78bef4cb6bf93345537a5c56bb76cbbdb946d",
-    "60fcef067eb02c2f10f11ab141edb4e750abe6d880e6d50d1c7752f0f143aae4",
+    "7fecc449b69295ca1151b65fd7d216ccf4c94f30ce7651be8e1c38f3313a137e",
+    "71ed9ff81bd943c3647c43fbcb2ea65200d2809079114d47bd2a3b553226266f",
+    "04400bca7eedf5633945d5bb652ac061e3b0632818666dd95231e360254e18c9",
 ]
 
 
