@@ -64,6 +64,8 @@ class Ellipsoid:
             raise ValueError("ellipsoid entries must be finite")
         if not np.allclose(H, H.T, rtol=1e-8, atol=1e-12 * max(1.0, float(np.abs(H).max()))):
             raise ValueError("shape matrix must be symmetric")
+        # exactly symmetric from here on: every cut step keeps it so
+        self.shape = H = 0.5 * (H + H.T)
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
@@ -106,8 +108,8 @@ def ellipsoid_step(ellipsoid: Ellipsoid, cut) -> Ellipsoid:
     new_center = c - hw / ((n + 1.0) * np.sqrt(s))
     scale = n * n / (n * n - 1.0)
     new_shape = scale * (H - (2.0 / (n + 1.0)) * np.outer(hw, hw) / s)
-    new_shape = 0.5 * (new_shape + new_shape.T)
-    # the update preserves symmetry and positive definiteness by construction
+    # np.outer(hw, hw) is exactly symmetric, so an exactly symmetric H stays
+    # so bit for bit; the update also keeps positive definiteness
     return Ellipsoid(new_center, new_shape, validate=False)
 
 

@@ -67,6 +67,15 @@ def test_long_chain_stays_positive_definite():
     evals = np.linalg.eigvalsh(ell.shape)
     assert evals.min() > 0
     assert np.allclose(ell.shape, ell.shape.T)
+    # the step never symmetrizes: an exactly symmetric shape stays so
+    factor = rng.normal(size=(4, 4))
+    ell = Ellipsoid(np.zeros(4), factor @ factor.T + np.eye(4))
+    for _ in range(1000):
+        ell = ellipsoid_step(ell, rng.normal(size=4))
+        assert np.array_equal(ell.shape, ell.shape.T)
+    # construction makes a nearly symmetric shape exactly symmetric
+    nearly = Ellipsoid(np.zeros(2), np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]]))
+    assert np.array_equal(nearly.shape, nearly.shape.T)
 
 
 def test_ellipsoid_validates_inputs():
