@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rng import SEED_LIMIT
 from .geometry import linear_optimality_gap
 from .problems import (
     LogisticProblem,
@@ -82,8 +83,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise InfeasibleConfigError("provide at least one seed")
-        if any(s < 0 for s in self.seeds):
-            raise InfeasibleConfigError("seeds must be non-negative")
+        if not all(0 <= s < SEED_LIMIT for s in self.seeds):
+            raise InfeasibleConfigError(f"seeds must lie in [0, 2**64), got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise InfeasibleConfigError(f"seeds must not repeat, got {self.seeds}")
         if not 0.0 < self.eps < math.inf:

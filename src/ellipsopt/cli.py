@@ -55,7 +55,7 @@ def _add_config_flags(p: argparse.ArgumentParser, keys, **defaults) -> None:
     """``--seed`` and one flag per BenchConfig key in ``keys``, its dest the
     key. Values stay strings for ``config_from_mapping`` to parse; an unset
     flag reads its entry in ``defaults``, or None."""
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=None, help="base RNG seed, in [0, 2**64)")
     for key in keys:
         if key == "intercept":
             p.add_argument("--no-intercept", dest=key, action="store_const", const="false",

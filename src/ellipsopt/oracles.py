@@ -42,8 +42,8 @@ class BatchSpec:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < _rng.SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._rng import SEED_LIMIT
 from .geometry import FeasibleSet
 from .oracles import BatchSpec, StochasticGradOracle, minibatch_gradient
 from .reporting import CUT_SGD, TERMINATION_BUDGET, IterationRecord, SolverReport
@@ -30,8 +31,8 @@ class SgdConfig:
             raise ValueError("iteration count must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
 def default_step_grid(diameter: float, value_range: float) -> tuple[float, ...]:

@@ -95,8 +95,8 @@ class SolverConfig:
             raise ValueError("beta must lie strictly inside (0, 1)")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be non-negative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < _rng.SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         for name in ("batch_size", "max_iterations"):

@@ -406,9 +406,9 @@ class TestRunExperiment:
 # solver (the experiment-n10 benchmark's run). They move only when a change
 # to the draws, the kernels, the reductions or the file format is meant to.
 PINNED_EXPERIMENT_DIGESTS = [
-    "d7972483182b268f050f18641a750804d459b8c7ab72242fe1d40e5d08196deb",
-    "6b4ae6a7a702d97db3114146377f2d383c87ca8071231bf4888c9a004380525c",
-    "ac2ff31ddee55e91da807a7671fc8cb0ec4a85b1305fed678d2aea06d048d152",
+    "8938e41c04055df61199fb5ad1d942a229b9cd8141701689c9980504db342d3f",
+    "09b2f054bd9b56df2ee4e1777798a5f13586717d0fc0fc1a09a2984db70f03db",
+    "6ede3bbc0b1d1a4d1c42e5ca3573b0e24fb6ddcacef0325831f3d3139aa5b489",
 ]
 
 

@@ -167,6 +167,17 @@ class TestBench:
         assert "eps" in err
         assert not (tmp_path / "bench").exists()
 
+    def test_seed_past_the_key_word_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated for a rejected seed")
+
+        monkeypatch.setattr("ellipsopt.bench.generate_synthetic", no_data)
+        assert main(_bench_args(tmp_path, seed=2**64)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2**64" in err
+        assert not (tmp_path / "bench").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("momentum=0.9\n", encoding="utf-8")

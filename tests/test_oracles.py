@@ -140,14 +140,14 @@ def test_gaussian_means_equal_the_mean_of_the_per_draw_reference(n, count):
 # layout, the inverse-CDF normals, the index draw, the softplus or the
 # reduction order changes; any such change alters every trace and must be
 # deliberate.
-PINNED_LOGISTIC_GRADIENT = ["-0x1.c0ff087d81efcp-7", "0x1.44d3b6073ae48p-4",
-                            "-0x1.71e52568b13a3p-3", "0x1.4ab1266f60e91p-2",
-                            "-0x1.30c5b6dddc5e0p-2"]
-PINNED_LOGISTIC_VALUE = "0x1.0b79389dde48bp+0"
-PINNED_GAUSSIAN_GRADIENT = ["0x1.9a592972e6d76p-2", "-0x1.6458225fa7bffp+0",
-                            "0x1.1a9eafe135762p+1"]
-PINNED_GAUSSIAN_VALUE = "0x1.be48393ab9247p+0"
-PINNED_ESTIMATES = ["0x1.5bae17fa398b2p-1", "0x1.10fc2c66d8b5cp+0", "0x1.65919317a54fcp-1"]
+PINNED_LOGISTIC_GRADIENT = ["-0x1.46dcfd3ce97e6p-6", "0x1.502091b402f86p-4",
+                            "-0x1.6c48859d15954p-3", "0x1.4546b56f06881p-2",
+                            "-0x1.330c0b018929ap-2"]
+PINNED_LOGISTIC_VALUE = "0x1.0adb793aff9d0p+0"
+PINNED_GAUSSIAN_GRADIENT = ["0x1.9ceb68cd19322p-2", "-0x1.6540bd31db0e0p+0",
+                            "0x1.1c0cb6bcfe84ep+1"]
+PINNED_GAUSSIAN_VALUE = "0x1.c23137dc4d199p+0"
+PINNED_ESTIMATES = ["0x1.6105d43914ca4p-1", "0x1.0b3a4da689f36p+0", "0x1.6f439d6f0ad58p-1"]
 
 
 def _hex(values):
@@ -197,8 +197,8 @@ def test_pinned_logistic_bits_hold_under_one_and_two_blas_threads(threads):
 # (float.hex) for (count, n). Unlike the pins above, these see the order in
 # which the noise mean is summed.
 PINNED_NOISE_MEANS = {
-    (21888, 2): ["0x1.13bbe2fab12dep-10", "0x1.bb1b21fed3d1fp-10"],
-    (999, 3): ["0x1.7f1fb29a7b7a0p-11", "0x1.0722035f53369p-7", "0x1.0516479bdc848p-7"],
+    (21888, 2): ["0x1.7a27e9bcd37e8p-12", "0x1.a0dff8aadc822p-9"],
+    (999, 3): ["0x1.a8e799bfcc3f5p-9", "0x1.25a9348b5860ep-8", "0x1.398e91b2759ecp-6"],
 }
 
 

@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Philox, SeedSequence
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from ellipsopt import _rng
-
-STREAM_TAGS = (_rng.GRAD_STREAM, _rng.EVAL_STREAM, _rng.DATA_STREAM,
-               _rng.SPLIT_STREAM, _rng.PROBE_STREAM)
 
 
 def test_stream_keys_differ_by_any_coordinate():
@@ -23,17 +20,13 @@ def test_stream_key_rejects_negative():
         _rng.stream_key(-1, 0, 0)
     with pytest.raises(ValueError):
         _rng.stream_key(0, 0, -1)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32])
-def test_stream_key_is_the_seed_sequence_state(seed):
-    block = _rng.KEY_BLOCK
-    for stream in STREAM_TAGS:
-        for step in (0, block - 1, block, block + 1, 2**32 - 1, 2**32):
-            reference = SeedSequence((seed, stream, step)).generate_state(2, np.uint64)
-            key = _rng.stream_key(seed, stream, step)
-            assert key.dtype == np.uint64
-            assert np.array_equal(key, reference), (seed, stream, step)
+    # the seed fills one key word, the step the 56 bits below the stream tag
+    for coords in [(2**64, 0, 0), (0, 0, 2**56)]:
+        with pytest.raises(ValueError):
+            _rng.stream_key(*coords)
+    top = _rng.stream_key(2**64 - 1, _rng.PROBE_STREAM, 2**56 - 1)
+    assert top.dtype == np.uint64
+    assert top.tolist() == [2**64 - 1, 4 * 2**56 + 2**56 - 1]
 
 
 @pytest.mark.parametrize("coords", [(3, 1, 5), (3, 1, 2**32)])
@@ -43,11 +36,23 @@ def test_stream_keys_are_read_only(coords):
         key[0] = 0
 
 
-def test_key_cache_stays_bounded():
-    for seed in range(1000):
-        _rng.stream_key(seed, _rng.GRAD_STREAM, 0)
-    info = _rng._key_block.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+def test_neighbouring_low_entropy_keys_give_uncorrelated_normals():
+    count = 2**16
+    base = _rng.standard_normals(_rng.stream_key(0, 0, 0), count, 1)[:, 0]
+    for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+        other = _rng.standard_normals(_rng.stream_key(*coords), count, 1)[:, 0]
+        # the sample correlation of independent draws has sd ~ 2**-8
+        assert abs(np.corrcoef(base, other)[0, 1]) < 5 * 2.0**-8, coords
+
+
+def test_extreme_words_give_open_uniforms_and_finite_symmetric_normals():
+    words = np.array([0, 1, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)
+    u = _rng.open_uniforms(words.copy())
+    assert np.all((0.0 < u) & (u < 1.0))
+    z = ndtri(u)
+    assert np.all(np.isfinite(z))
+    assert z[0] == z[1] == -z[2] == -z[3]
+    assert z[3] == pytest.approx(8.2095, abs=1e-4)
 
 
 def test_interleaved_draws_each_read_a_fresh_philox():

@@ -100,9 +100,9 @@ def test_run_suite_forwards_keyword_arguments():
 # them. They move only when a change to the normals, the noise mean or the
 # solver is meant to.
 PINNED_THEOREM2_DIGESTS = [
-    "7fecc449b69295ca1151b65fd7d216ccf4c94f30ce7651be8e1c38f3313a137e",
-    "71ed9ff81bd943c3647c43fbcb2ea65200d2809079114d47bd2a3b553226266f",
-    "04400bca7eedf5633945d5bb652ac061e3b0632818666dd95231e360254e18c9",
+    "43ac48b8db6c3d66d145fca751247463a7679cbb7f61f66bcc77175e37a017bd",
+    "8f05b1a925666c75a970674f598c333f6f4fff5b41396e68bd75e0137087b93c",
+    "a54fbbef3f3c35cf29028551d9dd18efe2f9f748eaed41a6bcf54f6d9640c331",
 ]
 
 
