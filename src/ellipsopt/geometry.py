@@ -108,8 +108,7 @@ def ellipsoid_step(ellipsoid: Ellipsoid, cut) -> Ellipsoid:
     new_center = c - hw / ((n + 1.0) * np.sqrt(s))
     scale = n * n / (n * n - 1.0)
     new_shape = scale * (H - (2.0 / (n + 1.0)) * np.outer(hw, hw) / s)
-    # np.outer(hw, hw) is exactly symmetric, so an exactly symmetric H stays
-    # so bit for bit; the update also keeps positive definiteness
+    # np.outer(hw, hw) is exactly symmetric: exact symmetry and definiteness carry over
     return Ellipsoid(new_center, new_shape, validate=False)
 
 
