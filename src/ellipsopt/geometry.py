@@ -106,9 +106,14 @@ def ellipsoid_step(ellipsoid: Ellipsoid, cut) -> Ellipsoid:
             f"cut direction has no extent: w^T H w = {s:.3e} under tolerance"
         )
     new_center = c - hw / ((n + 1.0) * np.sqrt(s))
-    scale = n * n / (n * n - 1.0)
-    new_shape = scale * (H - (2.0 / (n + 1.0)) * np.outer(hw, hw) / s)
-    # np.outer(hw, hw) is exactly symmetric: exact symmetry and definiteness carry over
+    # scale * (H - (2 / (n + 1)) * outer(hw, hw) / s), built in one buffer in
+    # the same order of operations; the outer product is exactly symmetric, so
+    # exact symmetry and definiteness carry over
+    new_shape = np.multiply.outer(hw, hw)
+    new_shape *= 2.0 / (n + 1.0)
+    new_shape /= s
+    np.subtract(H, new_shape, out=new_shape)
+    new_shape *= n * n / (n * n - 1.0)
     return Ellipsoid(new_center, new_shape, validate=False)
 
 

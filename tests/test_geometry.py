@@ -78,6 +78,29 @@ def test_long_chain_stays_positive_definite():
     assert np.array_equal(nearly.shape, nearly.shape.T)
 
 
+def _formula_step(c, H, w):
+    """One cut step as the closed-form update reads, one temporary per operation."""
+    n = c.shape[0]
+    hw = H @ w
+    s = float(w @ hw)
+    center = c - hw / ((n + 1.0) * np.sqrt(s))
+    scale = n * n / (n * n - 1.0)
+    return center, scale * (H - (2.0 / (n + 1.0)) * np.outer(hw, hw) / s)
+
+
+@pytest.mark.parametrize("n", [2, 20, 55])
+def test_step_equals_the_formula_bit_for_bit_over_long_chains(n):
+    rng = np.random.default_rng(n)
+    ell = Ellipsoid(np.zeros(n), 100.0 * np.eye(n))
+    c, H = ell.center, ell.shape
+    for _ in range(300):
+        w = rng.normal(size=n)
+        ell = ellipsoid_step(ell, w)
+        c, H = _formula_step(c, H, w)
+        assert ell.center.tobytes() == c.tobytes()
+        assert ell.shape.tobytes() == H.tobytes()
+
+
 def test_ellipsoid_validates_inputs():
     with pytest.raises(ValueError):
         Ellipsoid(np.zeros(2), np.eye(3))
