@@ -42,7 +42,7 @@ _TEST_CURVE_CHUNK = 512
 SUMMARY_COLUMNS = [
     "solver", "seed", "step_size", "batch_size", "iterations",
     "iters_to_1e-1", "iters_to_1e-2", "iters_to_1e-3",
-    "oracle_calls", "eval_calls", "wall_time_s", "final_test_loss",
+    "oracle_calls", "eval_calls", "wall_time_s", "final_test_loss", "returned_test_loss",
 ]
 
 
@@ -128,7 +128,9 @@ class RunRow:
     oracle_calls: int
     eval_calls: int
     wall_time_s: float
+    # the curve's last value, and the test loss of the point the solver returns
     final_test_loss: float
+    returned_test_loss: float
     report: SolverReport
 
     def cells(self) -> list[str]:
@@ -143,6 +145,7 @@ class RunRow:
             str(self.eval_calls),
             f"{self.wall_time_s:.3f}",
             format_float(self.final_test_loss),
+            format_float(self.returned_test_loss),
         ]
 
 
@@ -279,6 +282,7 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
                 eval_calls=report.eval_draws,
                 wall_time_s=wall,
                 final_test_loss=float(curve[-1]),
+                returned_test_loss=test_problem.objective(report.best_point),
                 report=report,
             )
         )

@@ -20,12 +20,18 @@ from ellipsopt.bench import (
     _check_ordering,
     config_from_mapping,
     first_crossings,
+    load_dataset,
     read_key_value_file,
     render_manifest,
     render_summary_csv,
     run_experiment,
 )
-from ellipsopt.problems import generate_synthetic, save_dataset_csv
+from ellipsopt.problems import (
+    LogisticProblem,
+    generate_synthetic,
+    save_dataset_csv,
+    split_train_test,
+)
 
 
 def _small_config(out_dir, **overrides) -> BenchConfig:
@@ -58,6 +64,7 @@ def _row(solver, crossings, step=0.1, final=0.5, report="stub"):
         eval_calls=0,
         wall_time_s=0.0,
         final_test_loss=final,
+        returned_test_loss=final,
         report=report,
     )
 
@@ -301,6 +308,20 @@ class TestRunExperiment:
                 )
                 assert row.oracle_calls == (feasible + zero_exit) * config.batch_size
 
+    def test_returned_test_loss_scores_the_point_each_solver_returns(self, tmp_path):
+        config = _small_config(tmp_path / "out")
+        outcome = run_experiment(config)
+        test = split_train_test(load_dataset(config, 0), config.test_fraction, seed=0)[1]
+        test_problem = LogisticProblem(test, weight_radius=config.weight_radius)
+        column = SUMMARY_COLUMNS.index("returned_test_loss")
+        lines = outcome.summary_path.read_text(encoding="utf-8").splitlines()[1:]
+        rows = outcome.seed_outcomes[0].rows
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            expected = test_problem.objective(row.report.best_point)
+            assert row.returned_test_loss == expected
+            assert float(line.split(",")[column]) == expected
+
     def test_manifest_lists_inputs_and_resolved_values(self, tmp_path):
         config = _small_config(tmp_path / "out")
         outcome = run_experiment(config)
@@ -408,7 +429,7 @@ class TestRunExperiment:
 PINNED_EXPERIMENT_DIGESTS = [
     "8938e41c04055df61199fb5ad1d942a229b9cd8141701689c9980504db342d3f",
     "09b2f054bd9b56df2ee4e1777798a5f13586717d0fc0fc1a09a2984db70f03db",
-    "6ede3bbc0b1d1a4d1c42e5ca3573b0e24fb6ddcacef0325831f3d3139aa5b489",
+    "36455ca4318102577cc2f6e6b869fb3e047dfb1cad1e232b1df7a03defa66b40",
 ]
 
 
