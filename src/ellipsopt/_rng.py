@@ -3,16 +3,23 @@
 Every stochastic draw in this package is keyed by (seed, stream, step) and a
 batch-element index. A substream's 128-bit Philox key is the word pair
 ``(seed, stream << 56 | step)``: distinct keys give independent Philox
-streams, so the coordinates need no hashing. A batch is drawn serially in
-one call: element ``l`` of a ``dims``-wide draw reads the 64-bit words
-``[l * dims, (l + 1) * dims)`` of its substream, so a shorter draw is a
-prefix of a longer one. Normals come from the inverse CDF of uniforms
-strictly inside (0, 1), a fixed consumption per element unlike rejection
-samplers. A batch mean sums each column of its block pairwise as one
-contiguous run, so its rounding is fixed by the batch shape.
+streams, so the coordinates need no hashing. Element ``l`` of a
+``dims``-wide draw reads the 64-bit words ``[l * dims, (l + 1) * dims)`` of
+its substream, so a shorter draw is a prefix of a longer one. Normals come
+from the inverse CDF of uniforms strictly inside (0, 1), a fixed consumption
+per element unlike rejection samplers. Philox is counter-based, so any range
+of a substream's words can be generated on its own: a large normal draw is
+split into word ranges, one per CPU, each drawn and converted on its own
+thread into its slice of one block. Every step works element by element, so
+the bits do not depend on the number of CPUs. A batch mean sums each column
+of its block pairwise as one contiguous run, so its rounding is fixed by the
+batch shape.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
@@ -45,17 +52,45 @@ def stream_key(seed: int, stream: int, step: int) -> np.ndarray:
     return key
 
 
-# one generator, re-keyed for every draw: resetting its state costs a fifth
-# of constructing a Philox. The package draws serially, from one thread.
-_PHILOX = Philox(0)
+# one generator per part of a draw, re-keyed for every draw: resetting its
+# state costs a seventh of constructing a Philox. Part 0 runs on the calling
+# thread and its generator also serves the index draws. The package draws
+# from one thread at a time.
+_GENERATORS: list[Philox] = [Philox(0)]
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# fewest words in a part of a split draw: handing a part to a thread costs ~30 µs
+_MIN_PART_WORDS = 1 << 14
 
 
-def _raw_words(key: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` 64-bit words of ``Philox(key=key)``."""
-    _PHILOX.state = {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
-                     "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _PHILOX.random_raw(count)
+def _thread_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="ellipsopt-rng")
+
+
+# runs parts 1 and up of a split draw; it starts its threads on the first one
+_POOL = _thread_pool()
+
+
+def _after_fork_in_child() -> None:
+    # a forked child has none of the parent's threads: the inherited pool would
+    # queue parts that no thread runs, and a generator could be left locked
+    global _POOL
+    _POOL = _thread_pool()
+    _GENERATORS[:] = [Philox(0)]
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _raw_words(key: np.ndarray, count: int, first: int = 0, part: int = 0) -> np.ndarray:
+    """The words ``[first, first + count)`` of ``Philox(key=key)``, from the
+    generator of ``part``; ``first`` is a multiple of 4, one Philox block."""
+    counter = _ZERO_WORDS if first == 0 else np.array([first // 4, 0, 0, 0], dtype=np.uint64)
+    philox = _GENERATORS[part]
+    philox.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                    "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return philox.random_raw(count)
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
@@ -63,21 +98,51 @@ def generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(SeedSequence((int(seed), stream)))
 
 
-def open_uniforms(raw: np.ndarray) -> np.ndarray:
+def open_uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Uniforms (k + 0.5) * 2**-52 of the top 52 bits k of each word, built in
-    one new float64 block; ``raw`` is shifted in place. Each is exact and lies
-    in [2**-53, 1 - 2**-53], so its normal is finite, within ±8.2095."""
+    ``out`` (a new float64 block when None); ``raw`` is shifted in place. Each
+    is exact and lies in [2**-53, 1 - 2**-53], so its normal is finite,
+    within ±8.2095."""
     raw >>= np.uint64(12)
-    u = raw.astype(np.float64)
+    u = np.empty(raw.shape) if out is None else out
+    np.copyto(u, raw)
     u += 0.5
     u *= _INV_2_52
     return u
 
 
+def _normals_into(key: np.ndarray, flat: np.ndarray, first: int, stop: int, part: int) -> None:
+    """Writes the normals of the words ``[first, stop)`` of ``key`` into ``flat[first:stop]``."""
+    u = open_uniforms(_raw_words(key, stop - first, first, part), out=flat[first:stop])
+    ndtri(u, out=u)
+
+
 def standard_normals(key: np.ndarray, count: int, dims: int) -> np.ndarray:
-    """(count, dims) standard normals, one row per batch element."""
-    u = open_uniforms(_raw_words(key, count * dims).reshape(count, dims))
-    return ndtri(u, out=u)
+    """(count, dims) standard normals, one row per batch element.
+
+    A draw of at least two parts' worth of words is split into up to one
+    word range per CPU, each starting on a Philox block. The calling thread
+    fills part 0 and the pool the others; the call returns or raises only
+    once every part has stopped writing.
+    """
+    total = count * dims
+    flat = np.empty(total)
+    parts = max(1, min(_CPUS, total // _MIN_PART_WORDS))
+    if parts == 1:
+        _normals_into(key, flat, 0, total, 0)
+        return flat.reshape(count, dims)
+    bounds = [total * p // parts // 4 * 4 for p in range(parts)] + [total]
+    _GENERATORS.extend(Philox(0) for _ in range(len(_GENERATORS), parts))
+    futures = []
+    try:
+        for p in range(1, parts):
+            futures.append(_POOL.submit(_normals_into, key, flat, bounds[p], bounds[p + 1], p))
+        _normals_into(key, flat, 0, bounds[1], 0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return flat.reshape(count, dims)
 
 
 def uniform_indices(key: np.ndarray, count: int, upper: int) -> np.ndarray:

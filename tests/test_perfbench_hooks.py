@@ -8,7 +8,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ellipsopt import _rng
+from ellipsopt.oracles import GaussianOracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +58,26 @@ def test_recorded_module_attributes_resolve():
     # the solve that erm_reference runs, through these module attributes
     assert callable(_resolve("ellipsopt.problems", "solve"))
     assert callable(_resolve("ellipsopt.bench", "erm_reference"))
+
+
+def test_a_split_gaussian_draw_records_one_span_per_traced_call(hook_modules, monkeypatch):
+    # the tracer keeps one span stack and is not thread-safe: the threads that
+    # fill parts of a split draw must call no traced function
+    layers, clock = hook_modules
+    monkeypatch.setattr(_rng, "_CPUS", 4)
+    oracle = GaussianOracle(lambda x: (float(x @ x), 2.0 * x), 2, sigma=0.25)
+    tracer = sys.modules["spans"].Tracer(layers.TARGETS)
+    tracer.install()
+    try:
+        with tracer.region("call", "call0"):
+            oracle.batch_mean(np.array([0.5, -0.25]), 0, 3, 21888)
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    ids = {s.id for s in tracer.spans}
+    names = [s.name for s in tracer.spans]
+    for name in ("rng.standard_normals", "rng.stream_key", "rng.pairwise_mean"):
+        assert names.count(name) == 1, names
+    assert names.count("call") == 1
+    assert all(s.parent in ids for s in tracer.spans if s.name != "call")
+    assert all(s.run == "call0" for s in tracer.spans)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +110,126 @@ def test_a_shorter_draw_is_a_prefix_of_a_longer_one(count):
                           _rng.standard_normals(key, count, 3))
     assert np.array_equal(_rng.uniform_indices(key, 2 * count, 1000)[:count],
                           _rng.uniform_indices(key, count, 1000))
+
+
+def _serial_normals(key, count, dims):
+    raw = Philox(key=key).random_raw(count * dims)
+    return ndtri(_rng.open_uniforms(raw)).reshape(count, dims)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_split_draws_equal_the_serial_draw_around_each_split_size(monkeypatch, cpus):
+    monkeypatch.setattr(_rng, "_CPUS", cpus)
+    ranges, fill = [], _rng._normals_into
+
+    def recording(key, flat, first, stop, part):
+        fill(key, flat, first, stop, part)
+        ranges.append((first, stop, part))
+
+    monkeypatch.setattr(_rng, "_normals_into", recording)
+    key = _rng.stream_key(7, _rng.GRAD_STREAM, 11)
+    least = _rng._MIN_PART_WORDS
+    for parts in range(2, 5):
+        for total in (parts * least - 1, parts * least, parts * least + 1):
+            ranges.clear()
+            assert np.array_equal(_rng.standard_normals(key, total, 1),
+                                  _serial_normals(key, total, 1)), total
+            # word ranges that tile the draw, each starting on a Philox block
+            assert len(ranges) == max(1, min(cpus, total // least))
+            ranges.sort()
+            assert [r[2] for r in ranges] == list(range(len(ranges)))
+            assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]]
+            assert ranges[-1][1] == total
+            assert all(first % 4 == 0 for first, _, _ in ranges)
+
+
+@pytest.mark.parametrize("dims", range(1, 8))
+def test_split_draws_of_any_width_equal_the_serial_draw(monkeypatch, dims):
+    monkeypatch.setattr(_rng, "_CPUS", 3)
+    key = _rng.stream_key(dims, _rng.EVAL_STREAM, 2**40 + dims)
+    for count in (3 * _rng._MIN_PART_WORDS // dims + 1, 2 * _rng._MIN_PART_WORDS // dims + 5):
+        # an odd count: most totals are then a multiple neither of 4 nor of the part count
+        count |= 1
+        expected = _serial_normals(key, count, dims)
+        assert np.array_equal(_rng.standard_normals(key, count, dims), expected), count
+        # and a split draw is still a prefix of a longer one
+        assert np.array_equal(_rng.standard_normals(key, 2 * count, dims)[:count], expected)
+
+
+@pytest.mark.parametrize("failing_part", [0, 1, 2])
+def test_a_failing_part_is_awaited_and_the_next_draw_is_intact(monkeypatch, failing_part):
+    monkeypatch.setattr(_rng, "_CPUS", 3)
+    fill, finished = _rng._normals_into, []
+
+    def failing(key, flat, first, stop, part):
+        if part == failing_part:
+            raise MemoryError(f"part {part}")
+        fill(key, flat, first, stop, part)
+        finished.append(part)
+
+    monkeypatch.setattr(_rng, "_normals_into", failing)
+    key = _rng.stream_key(3, _rng.GRAD_STREAM, 9)
+    count = 3 * _rng._MIN_PART_WORDS + 5
+    with pytest.raises(MemoryError, match=f"part {failing_part}"):
+        _rng.standard_normals(key, count, 1)
+    # every other part had finished writing before the error reached the caller
+    assert sorted(finished) == sorted({0, 1, 2} - {failing_part})
+    monkeypatch.setattr(_rng, "_normals_into", fill)
+    assert np.array_equal(_rng.standard_normals(key, count, 1), _serial_normals(key, count, 1))
+
+
+def test_split_draws_hold_with_more_threads_than_cpus_and_short_switches(monkeypatch):
+    monkeypatch.setattr(_rng, "_CPUS", 2 * os.cpu_count() + 1)
+    # a pool of its own, sized by the patched CPU count
+    monkeypatch.setattr(_rng, "_POOL", _rng._thread_pool())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for step in range(8):
+            key = _rng.stream_key(4, _rng.GRAD_STREAM, step)
+            count = (2 + step) * _rng._MIN_PART_WORDS + step
+            assert np.array_equal(_rng.standard_normals(key, count, 1),
+                                  _serial_normals(key, count, 1)), step
+    finally:
+        sys.setswitchinterval(interval)
+        _rng._POOL.shutdown()
+
+
+_FORK_CHILD = textwrap.dedent("""
+    import multiprocessing
+    from ellipsopt import _rng
+
+    _rng._CPUS = 2
+    key = _rng.stream_key(1, _rng.GRAD_STREAM, 3)
+    count = 2 * _rng._MIN_PART_WORDS + 1
+    # the parent's pool has run a part before the fork
+    parent = _rng.standard_normals(key, count, 1).tobytes()
+
+    def draw(conn):
+        conn.send_bytes(_rng.standard_normals(key, count, 1).tobytes())
+
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    # daemonic, so that a child that hangs ends with this process
+    child = ctx.Process(target=draw, args=(send,), daemon=True)
+    child.start()
+    assert receive.poll(30), "the forked child's split draw did not finish"
+    assert receive.recv_bytes() == parent
+    child.join(30)
+    assert child.exitcode == 0, child.exitcode
+    print("same bits")
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+def test_a_forked_child_draws_the_same_bits_with_its_own_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _FORK_CHILD], env=env, capture_output=True,
+                         text=True, timeout=90)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "same bits"
 
 
 @pytest.mark.parametrize("count, dims", [(1, 3), (1, 1), (999, 1), (21888, 2), (4097, 7)])
