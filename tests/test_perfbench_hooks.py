@@ -63,7 +63,7 @@ def test_recorded_module_attributes_resolve():
 def test_a_split_gaussian_draw_records_one_span_per_traced_call(hook_modules, monkeypatch):
     # the tracer keeps one span stack and is not thread-safe: the threads that
     # fill parts of a split draw must call no traced function
-    layers, clock = hook_modules
+    layers, _ = hook_modules
     monkeypatch.setattr(_rng, "_CPUS", 4)
     oracle = GaussianOracle(lambda x: (float(x @ x), 2.0 * x), 2, sigma=0.25)
     tracer = sys.modules["spans"].Tracer(layers.TARGETS)
