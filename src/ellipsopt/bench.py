@@ -264,11 +264,8 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
         sweep=tuple(sweep),
     )
 
-    def run_row(solver: str, step_size: float | None, run, test_curve) -> None:
-        # wall time covers the solver call only, not the test curve
-        t0 = time.perf_counter()
-        report = run()
-        wall = time.perf_counter() - t0
+    def add_row(solver: str, step_size: float | None, report: SolverReport, wall: float,
+                test_curve) -> None:
         curve = test_curve(report.records, test_problem)
         outcome.rows.append(
             RunRow(
@@ -287,15 +284,22 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
             )
         )
 
-    run_row("ellipsoid", None, lambda: solve(oracle, ball, solver_cfg), running_best_test_curve)
-    for alpha in sweep:
-        sgd_cfg = SgdConfig(
-            step_size=alpha,
-            iterations=sgd_iters,
-            batch_size=config.sgd_batch_size,
-            seed=seed,
-        )
-        run_row("sgd", alpha, lambda: sgd_run(oracle, ball, sgd_cfg), iterate_test_curve)
+    # wall times cover the solver calls only, not the test curves
+    t0 = time.perf_counter()
+    report = solve(oracle, ball, solver_cfg)
+    add_row("ellipsoid", None, report, time.perf_counter() - t0, running_best_test_curve)
+    sgd_cfg = SgdConfig(
+        step_sizes=tuple(sweep),
+        iterations=sgd_iters,
+        batch_size=config.sgd_batch_size,
+        seed=seed,
+    )
+    t0 = time.perf_counter()
+    reports = sgd_run(oracle, ball, sgd_cfg)
+    # the entries run in lockstep, so each gets an equal share of the sweep's time
+    wall = (time.perf_counter() - t0) / len(reports)
+    for alpha, report in zip(sweep, reports):
+        add_row("sgd", alpha, report, wall, iterate_test_curve)
 
     outcome.ordering_ok = _check_ordering(outcome)
     return outcome

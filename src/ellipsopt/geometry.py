@@ -40,6 +40,16 @@ def _as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
+def _as_points(x, dim: int) -> NDArray[np.float64]:
+    """A finite point (n,) or block of points (k, n), as float64."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != dim:
+        raise ValueError(f"expected a ({dim},) point or a (k, {dim}) block, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    return v
+
+
 class Ellipsoid:
     """Solid ellipsoid given by a center and an SPD shape matrix."""
 
@@ -148,7 +158,8 @@ class FeasibleSet(ABC):
 
     @abstractmethod
     def project(self, x) -> Vector:
-        """Euclidean projection onto the set."""
+        """Euclidean projection onto the set of a point (n,), or of each row
+        of a (k, n) block; raises ValueError on a non-finite entry."""
 
     @abstractmethod
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,7 +227,7 @@ class Box(FeasibleSet):
         return w
 
     def project(self, x) -> Vector:
-        return np.clip(_as_vector(x, self.dimension), self.lower, self.upper)
+        return np.clip(_as_points(x, self.dimension), self.lower, self.upper)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(count, self.dimension))
@@ -275,12 +286,13 @@ class Ball(FeasibleSet):
         return offset / dist
 
     def project(self, x) -> Vector:
-        v = _as_vector(x, self.dimension)
+        v = _as_points(x, self.dimension)
         offset = v - self.center
-        dist = float(np.linalg.norm(offset))
-        if dist <= self.radius:
-            return v
-        return self.center + offset * (self.radius / dist)
+        # the bits of np.linalg.norm, row by row
+        dist = np.sqrt(np.vecdot(offset, offset))[..., None]
+        # points inside come back unchanged; the others scale by radius / dist
+        return np.where(dist <= self.radius, v,
+                        self.center + offset * (self.radius / np.maximum(dist, self.radius)))
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         n = self.dimension

@@ -9,11 +9,14 @@ D, which is what lets noisy means drive cut steps.
 
 A minibatch mean is one ``batch_mean`` call on counter-keyed streams, so
 it is a pure function of the point, the seed, the step and the batch size.
-The logistic oracle reduces its gathered rows in one matrix product; the
+It takes one point (n,) or a block of points (k, n); every row of a block
+reads the same draws, so one call serves a whole SGD step-size sweep. The
+logistic oracle reduces its gathered rows in one matrix product; the
 Gaussian oracle returns the exact answer plus terms in the pairwise column
 means of its (count, n) noise block, which are zero at sigma = 0. Both are
-fixed for a fixed shape. The perturbed oracle averages nothing, so exact
-oracles return exact values at every batch size.
+fixed for a fixed shape, and a one-row block has the bits of the point. The
+perturbed oracle averages nothing, so exact oracles return exact values at
+every batch size.
 """
 
 from __future__ import annotations
@@ -80,7 +83,11 @@ class StochasticGradOracle(ABC):
     @abstractmethod
     def batch_mean(self, x, seed: int, step: int, count: int) -> tuple[Vector, float]:
         """Mean gradient (n,) and mean value of the first ``count`` draws of
-        the stream keyed (seed, step)."""
+        the stream keyed (seed, step) at a point x (n,).
+
+        At a (k, n) block x it returns (k, n) mean gradients and (k,) mean
+        values, every row from the same draws; a one-row block gives the
+        bits of its row passed alone."""
 
     @abstractmethod
     def value_means_crn(self, points: np.ndarray, seed: int, step: int, count: int) -> np.ndarray:
@@ -95,7 +102,8 @@ def minibatch_gradient(
 
     The result is a pure function of (x, batch.seed, batch.size, step).
     """
-    return oracle.batch_mean(_as_vector(x, oracle.dimension), batch.seed, step, batch.size)
+    gradient, value = oracle.batch_mean(_as_vector(x, oracle.dimension), batch.seed, step, batch.size)
+    return gradient, float(value)
 
 
 def estimate_values(
@@ -121,6 +129,16 @@ def estimate_values(
         oracle.value_means_crn(block, batch.seed, step, batch.size)
         for block in np.array_split(pts, blocks)
     ])
+
+
+def _exact_answers(value_grad, x: np.ndarray, dim: int):
+    """f(x) and g(x) at a point (n,), or (k,) values and (k, n) gradients
+    at the rows of a block."""
+    if x.ndim == 2:
+        answers = [_exact_answers(value_grad, p, dim) for p in x]
+        return np.array([value for value, _ in answers]), np.array([grad for _, grad in answers])
+    value, grad = value_grad(x)
+    return float(value), _as_vector(grad, dim)
 
 
 def _concentration_constant(beta: float) -> float:
@@ -239,10 +257,6 @@ class GaussianOracle(StochasticGradOracle):
     def is_deterministic(self) -> bool:
         return self.sigma == 0.0
 
-    def _exact(self, x) -> tuple[float, np.ndarray]:
-        value, grad = self._value_grad(x)
-        return float(value), _as_vector(grad, self._dim)
-
     def _noise(self, seed, stream, step, count) -> np.ndarray:
         """(count, n) noise draws zeta of the substream (seed, stream, step)."""
         noise = _rng.standard_normals(_rng.stream_key(seed, stream, step), count, self._dim)
@@ -250,17 +264,19 @@ class GaussianOracle(StochasticGradOracle):
 
     def draw_block(self, x, seed, step, count):
         """(count, n) gradient and (count,) value draws of the stream (seed, step)."""
-        value, grad = self._exact(x)
+        value, grad = _exact_answers(self._value_grad, x, self._dim)
         noise = self._noise(seed, _rng.GRAD_STREAM, step, count)
         return grad + noise, value + noise @ x
 
     def batch_mean(self, x, seed, step, count):
-        value, grad = self._exact(x)
+        value, grad = _exact_answers(self._value_grad, x, self._dim)
         zeta = _rng.pairwise_mean(self._noise(seed, _rng.GRAD_STREAM, step, count))
-        return grad + zeta, float(value + zeta @ x)
+        # one dot product per row: each row gets the bits of zeta @ row in
+        # any block, where a matrix product rounds by the block's height
+        return grad + zeta, value + np.vecdot(x, zeta)
 
     def value_means_crn(self, points, seed, step, count):
-        values = np.array([self._exact(p)[0] for p in points])
+        values = _exact_answers(self._value_grad, points, self._dim)[0]
         zeta = _rng.pairwise_mean(self._noise(seed, _rng.EVAL_STREAM, step, count))
         # a row sum, unlike a matrix product, gives a point the same bits in any block
         return values + (points * zeta).sum(axis=1)
@@ -299,8 +315,8 @@ class PerturbedOracle(StochasticGradOracle):
         return direction * (self.offset_norm / float(np.linalg.norm(direction)))
 
     def batch_mean(self, x, seed, step, count):
-        value, grad = self._value_grad(x)
-        return _as_vector(grad, self._dim) + self.offset(seed, step), float(value)
+        value, grad = _exact_answers(self._value_grad, x, self._dim)
+        return grad + self.offset(seed, step), value
 
     def value_means_crn(self, points, seed, step, count):
-        return np.array([float(self._value_grad(p)[0]) for p in points])
+        return _exact_answers(self._value_grad, points, self._dim)[0]

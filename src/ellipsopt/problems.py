@@ -137,8 +137,11 @@ class LogisticOracle(StochasticGradOracle):
 
     def batch_mean(self, x, seed, step, count):
         Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, count)
-        value, gradient = _mean_loss_and_gradient(Xb, yb, x)
-        return gradient, value
+        # z has one row per point; a point and a one-row block both take
+        # numpy's matrix-vector path, so they get the same bits
+        z = x @ Xb.T
+        gradient = (expit(z) - yb) @ Xb / count
+        return gradient, np.mean(_softplus(z) - yb * z, axis=-1)
 
     def value_means_crn(self, points, seed, step, count):
         Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)

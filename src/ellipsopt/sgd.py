@@ -1,32 +1,43 @@
-"""Projected minibatch SGD baseline.
+"""Projected minibatch SGD baseline, run as a step-size sweep in lockstep.
 
 Shares the oracle, batch, trace and report machinery with the cut-based
 solver so the two produce directly comparable runs: equal seeds consume
-identical sample streams at equal (iteration, batch-element) keys. The step
-size is constant and the run reports its last iterate, scored on one fresh
-batch of ``batch_size`` draws.
+identical sample streams at equal (iteration, batch-element) keys. Every
+entry of a sweep uses the config's seed, so at each step all entries read
+the same batch; ``sgd_run`` advances them together as the rows of one
+(k, n) iterate block, with one oracle call and one projection per step.
+Each step size is constant, and each entry reports its last iterate, all
+of them scored on one fresh batch of ``batch_size`` draws. A one-entry
+sweep is a single run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._rng import SEED_LIMIT
 from .geometry import FeasibleSet
-from .oracles import BatchSpec, StochasticGradOracle, minibatch_gradient
+from .oracles import BatchSpec, StochasticGradOracle, estimate_values
 from .reporting import CUT_SGD, TERMINATION_BUDGET, IterationRecord, SolverReport
-from .solver import _select_candidates
+
 
 @dataclass(frozen=True)
 class SgdConfig:
-    step_size: float
+    step_sizes: tuple[float, ...]
     iterations: int
     batch_size: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.step_size < 0:
-            raise ValueError("step size must be non-negative")
+        if not self.step_sizes:
+            raise ValueError("sweep must list at least one step size")
+        if not all(0.0 <= s < math.inf for s in self.step_sizes):
+            raise ValueError(
+                f"sweep step sizes must be non-negative and finite, got {self.step_sizes}"
+            )
         if self.iterations < 1:
             raise ValueError("iteration count must be at least 1")
         if self.batch_size < 1:
@@ -43,33 +54,43 @@ def default_step_grid(diameter: float, value_range: float) -> tuple[float, ...]:
     return tuple(base * m for m in (0.001, 0.01, 0.1, 0.5, 1.0))
 
 
-def sgd_run(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SgdConfig) -> SolverReport:
-    """Iterate theta <- project(theta - alpha * minibatch gradient).
+def sgd_run(
+    oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SgdConfig
+) -> list[SolverReport]:
+    """Iterate theta_j <- project(theta_j - alpha_j * minibatch gradient) for
+    every step size alpha_j of the sweep; one report per step size, in order.
 
-    Starts from the bounding ball's center projected onto the set and
-    reports the last iterate. Every iterate is projected, so none can leave
-    the set; Ball and Box projections raise ValueError on a non-finite step.
+    Every entry starts from the bounding ball's center projected onto the
+    set and reports its last iterate. Every iterate is projected, so none
+    can leave the set; Ball and Box projections raise ValueError on a
+    non-finite step in any entry.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
         raise ValueError(f"oracle dimension {oracle.dimension} does not match the set's {n}")
-    theta = feasible_set.project(feasible_set.bounding_ball.center)
+    alphas = np.array(config.step_sizes)[:, None]
+    thetas = np.tile(feasible_set.project(feasible_set.bounding_ball.center), (len(alphas), 1))
     batch = BatchSpec(size=config.batch_size, seed=config.seed)
 
-    records: list[IterationRecord] = []
+    records: list[list[IterationRecord]] = [[] for _ in alphas]
     for k in range(config.iterations):
-        gradient, value = minibatch_gradient(oracle, theta, batch, step=k)
-        records.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
-        theta = feasible_set.project(theta - config.step_size * gradient)
+        gradients, values = oracle.batch_mean(thetas, batch.seed, k, batch.size)
+        for entry, theta, value in zip(records, thetas, values.tolist()):
+            entry.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
+        thetas = feasible_set.project(thetas - alphas * gradients)
 
-    _, point, estimate, eval_draws = _select_candidates([(len(records), theta)], oracle, batch)
-    return SolverReport(
-        best_point=point,
-        best_estimate=estimate,
-        iterations=len(records),
-        batch_size=config.batch_size,
-        records=tuple(records),
-        termination=TERMINATION_BUDGET,
-        grad_draws=len(records) * config.batch_size,
-        eval_draws=eval_draws,
-    )
+    # the last iterates, scored as the cut solver scores its candidates
+    estimates = estimate_values(oracle, thetas, batch)
+    return [
+        SolverReport(
+            best_point=theta,
+            best_estimate=estimate,
+            iterations=config.iterations,
+            batch_size=config.batch_size,
+            records=tuple(entry),
+            termination=TERMINATION_BUDGET,
+            grad_draws=config.iterations * config.batch_size,
+            eval_draws=config.batch_size,
+        )
+        for entry, theta, estimate in zip(records, thetas, estimates.tolist())
+    ]

@@ -322,6 +322,17 @@ class TestRunExperiment:
             assert row.returned_test_loss == expected
             assert float(line.split(",")[column]) == expected
 
+    def test_sweep_rows_share_the_sweep_wall_time_and_match_their_reports(self, tmp_path):
+        config = _small_config(tmp_path / "out")
+        outcome = run_experiment(config).seed_outcomes[0]
+        sgd = [r for r in outcome.rows if r.solver == "sgd"]
+        assert tuple(r.step_size for r in sgd) == outcome.sweep and len(sgd) > 1
+        assert len({r.wall_time_s for r in sgd}) == 1 and sgd[0].wall_time_s > 0
+        for r in sgd:
+            assert r.iterations == len(r.report.records)
+            assert r.oracle_calls == r.iterations * config.sgd_batch_size
+            assert r.eval_calls == config.sgd_batch_size
+
     def test_manifest_lists_inputs_and_resolved_values(self, tmp_path):
         config = _small_config(tmp_path / "out")
         outcome = run_experiment(config)
@@ -428,8 +439,8 @@ class TestRunExperiment:
 # to the draws, the kernels, the reductions or the file format is meant to.
 PINNED_EXPERIMENT_DIGESTS = [
     "8938e41c04055df61199fb5ad1d942a229b9cd8141701689c9980504db342d3f",
-    "09b2f054bd9b56df2ee4e1777798a5f13586717d0fc0fc1a09a2984db70f03db",
-    "36455ca4318102577cc2f6e6b869fb3e047dfb1cad1e232b1df7a03defa66b40",
+    "4ddb33819de32cac43bf4d583a8038dd9769701e0a055acb1c831e9724208ca1",
+    "783f6446a032903db5584f1b80ff95944f45e00bf40bc3fe47640abaaec0121e",
 ]
 
 

@@ -149,6 +149,15 @@ class TestBall:
         w = ball.separation_hyperplane(out)
         assert np.allclose(w / np.linalg.norm(w), [1.0, 0.0, 0.0])
 
+    def test_projection_scales_by_the_norm_bit_for_bit(self):
+        ball = Ball(np.array([0.3, -1.0, 2.0]), 1.5)
+        rows = np.random.default_rng(6).normal(size=(200, 3)) * 3.0
+        for row in rows:
+            offset = row - ball.center
+            dist = np.linalg.norm(offset)
+            expected = row if dist <= 1.5 else ball.center + offset * (1.5 / dist)
+            assert np.array_equal(ball.project(row), expected)
+
     def test_support_point(self):
         ball = Ball(np.array([1.0, 0.0]), 3.0)
         assert np.allclose(ball.support_point(np.array([0.0, 2.0])), [1.0, 3.0])
@@ -169,6 +178,27 @@ def test_projection_idempotent_and_nonexpansive(dim, shift, seed):
     assert ball.contains(px)
     assert np.allclose(ball.project(px), px, atol=1e-12)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+@pytest.mark.parametrize("feasible_set", [Ball(np.array([1.0, -2.0, 0.5]), 2.0),
+                                          Box([-1.0, -3.0, 0.0], [2.0, 1.0, 0.5])],
+                         ids=["ball", "box"])
+def test_projecting_a_block_equals_projecting_each_row(feasible_set):
+    rng = np.random.default_rng(4)
+    # rows outside, inside, on the boundary, and one at the center (distance 0)
+    rows = np.vstack([rng.normal(size=(40, 3)) * 4.0, feasible_set.bounding_ball.center,
+                      feasible_set.project(rng.normal(size=3) * 9.0)])
+    with np.errstate(all="raise"):
+        block = feasible_set.project(rows)
+        assert block.shape == rows.shape
+        for row, projected in zip(rows, block):
+            assert np.array_equal(projected, feasible_set.project(row))
+        assert np.array_equal(feasible_set.project(rows[:1]), block[:1])
+    rows[7, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        feasible_set.project(rows)
+    with pytest.raises(ValueError, match="block"):
+        feasible_set.project(rows[None])
 
 
 @settings(max_examples=30, deadline=None)
