@@ -79,8 +79,9 @@ def sgd_run(
             entry.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
         thetas = feasible_set.project(thetas - alphas * gradients)
 
-    # the last iterates, scored as the cut solver scores its candidates
-    estimates = estimate_values(oracle, thetas, batch)
+    # the last iterates, on the evaluation batch (step 0) that the cut
+    # solver scores its candidates on
+    estimates = estimate_values(oracle, thetas, batch, step=0)
     return [
         SolverReport(
             best_point=theta,
