@@ -34,6 +34,11 @@ _CERTIFICATE_TOL = 1e-9
 # value draws per block of points in ``estimate_values``: its peak memory
 _MAX_BLOCK_DRAWS = 2**22
 
+# reserved steps on the shared-noise evaluation stream: the batch that scores
+# returned candidates, and the batch of the cut solver's range probe
+SELECTION_STEP = 0
+RANGE_PROBE_STEP = 1
+
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -319,4 +324,4 @@ class PerturbedOracle(StochasticGradOracle):
         return grad + self.offset(seed, step), value
 
     def value_means_crn(self, points, seed, step, count):
-        return _exact_answers(self._value_grad, points, self._dim)[0]
+        return np.array([float(self._value_grad(p)[0]) for p in points])

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import SEED_LIMIT
 from .geometry import FeasibleSet
-from .oracles import BatchSpec, StochasticGradOracle, estimate_values
+from .oracles import SELECTION_STEP, BatchSpec, StochasticGradOracle, estimate_values
 from .reporting import CUT_SGD, TERMINATION_BUDGET, IterationRecord, SolverReport
 
 
@@ -79,9 +79,7 @@ def sgd_run(
             entry.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
         thetas = feasible_set.project(thetas - alphas * gradients)
 
-    # the last iterates, on the evaluation batch (step 0) that the cut
-    # solver scores its candidates on
-    estimates = estimate_values(oracle, thetas, batch, step=0)
+    estimates = estimate_values(oracle, thetas, batch, step=SELECTION_STEP)
     return [
         SolverReport(
             best_point=theta,

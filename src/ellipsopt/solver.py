@@ -31,6 +31,8 @@ from .geometry import (
     ellipsoid_step,
 )
 from .oracles import (
+    RANGE_PROBE_STEP,
+    SELECTION_STEP,
     BatchSpec,
     StochasticGradOracle,
     estimate_values,
@@ -48,10 +50,6 @@ from .reporting import (
     IterationRecord,
     SolverReport,
 )
-
-# reserved steps on the shared-noise evaluation stream
-_SELECTION_STEP = 0
-_RANGE_PROBE_STEP = 1
 
 # range probe: feasible points sampled, draws per point, and the factor the
 # observed spread is inflated by
@@ -166,7 +164,7 @@ def estimate_value_range(
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     points = feasible_set.sample(_PROBE_POINTS, _rng.generator(seed, _rng.PROBE_STREAM))
-    values = estimate_values(oracle, points, BatchSpec(_PROBE_BATCH, seed), step=_RANGE_PROBE_STEP)
+    values = estimate_values(oracle, points, BatchSpec(_PROBE_BATCH, seed), step=RANGE_PROBE_STEP)
     return _PROBE_SAFETY * float(values.max() - values.min())
 
 
@@ -220,7 +218,7 @@ def _select_candidates(
     if not candidates:
         raise NoFeasiblePointError("no feasible center was visited")
     points = np.vstack([point for _, point in candidates])
-    values = estimate_values(oracle, points, batch, step=_SELECTION_STEP)
+    values = estimate_values(oracle, points, batch, step=SELECTION_STEP)
     best = int(np.lexsort((np.array([index for index, _ in candidates]), values))[0])
     index, point = candidates[best]
     return index, point, float(values[best]), len(candidates) * batch.size
