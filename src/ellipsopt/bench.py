@@ -36,8 +36,6 @@ from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import SolverConfig, resolve_plan, solve
 
 THRESHOLDS = (1e-1, 1e-2, 1e-3)
-# iterates per full test-set pass in iterate_test_curve
-_TEST_CURVE_CHUNK = 512
 
 SUMMARY_COLUMNS = [
     "solver", "seed", "step_size", "batch_size", "iterations",
@@ -174,11 +172,11 @@ class ExperimentOutcome:
     manifest_path: Path
 
 
-def first_crossings(curve, f_star: float, thresholds=THRESHOLDS):
-    """First iteration index where the curve dips to f_star + t, per t."""
+def first_crossings(curve, f_star: float):
+    """First iteration index where the curve dips to f_star + t, per t in THRESHOLDS."""
     values = np.asarray(curve, dtype=np.float64)
     out: list[int | None] = []
-    for t in thresholds:
+    for t in THRESHOLDS:
         hits = np.nonzero(values <= f_star + t)[0]
         out.append(int(hits[0]) if hits.size else None)
     return tuple(out)
@@ -204,12 +202,7 @@ def running_best_test_curve(records, test_problem: LogisticProblem) -> np.ndarra
 
 def iterate_test_curve(records, test_problem: LogisticProblem) -> np.ndarray:
     """Test loss of every recorded iterate (SGD's anytime output)."""
-    centers = np.vstack([rec.center for rec in records])
-    parts = [
-        test_problem.objective_many(centers[lo : lo + _TEST_CURVE_CHUNK])
-        for lo in range(0, centers.shape[0], _TEST_CURVE_CHUNK)
-    ]
-    return np.concatenate(parts)
+    return test_problem.objective_many(np.vstack([rec.center for rec in records]))
 
 
 def load_dataset(config: BenchConfig, seed: int):

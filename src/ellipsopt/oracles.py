@@ -31,8 +31,6 @@ from . import _rng
 from .geometry import FeasibleSet, Vector, _as_vector
 
 _CERTIFICATE_TOL = 1e-9
-# value draws per block of points in ``estimate_values``: its peak memory
-_MAX_BLOCK_DRAWS = 2**22
 
 # reserved steps on the shared-noise evaluation stream: the batch that scores
 # returned candidates, and the batch of the cut solver's range probe
@@ -97,7 +95,10 @@ class StochasticGradOracle(ABC):
     @abstractmethod
     def value_means_crn(self, points: np.ndarray, seed: int, step: int, count: int) -> np.ndarray:
         """(k,) mean of ``count`` value draws at each of k points, all points
-        sharing one noise realization per draw (common random numbers)."""
+        sharing one noise realization per draw (common random numbers).
+
+        Any k is accepted: an oracle whose means pass through a
+        (count, k) temporary bounds its size itself."""
 
 
 def minibatch_gradient(
@@ -118,22 +119,11 @@ def estimate_values(
 
     All points see the same noise realizations (common random numbers), so
     estimate differences cancel most of the noise when points are close.
-    Points go in near-equal blocks of at most ``_MAX_BLOCK_DRAWS`` draws (or
-    three points), never one point alone, which numpy would send down its
-    matrix-vector path with other rounding. The logistic oracle reduces each
-    point's row of ``points @ Xb.T`` on its own, and on OpenBLAS a row slice
-    of that product has the bits of the whole product at every width the
-    blocking cuts (measured: 2 to 699 rows at r=4096, n=55; 2 to 7 rows at
-    r=9e5 and 1.5e6), so the bits do not depend on the blocking.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != oracle.dimension:
         raise ValueError(f"points must have width {oracle.dimension}")
-    blocks = -(-pts.shape[0] // max(3, _MAX_BLOCK_DRAWS // batch.size))
-    return np.concatenate([
-        oracle.value_means_crn(block, batch.seed, step, batch.size)
-        for block in np.array_split(pts, blocks)
-    ])
+    return oracle.value_means_crn(pts, batch.seed, step, batch.size)
 
 
 def _exact_answers(value_grad, x: np.ndarray, dim: int):

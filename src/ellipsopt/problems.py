@@ -9,6 +9,7 @@ softplus form that stays finite for large |z|. Its per-sample gradient is
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,8 +34,10 @@ _NEWTON_MAX_STEPS = 50
 _ARMIJO_FRACTION = 1e-4
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_MAX_SHRINKS = 30
-# the loss passes after a full-data matrix product run over row blocks of
-# about this many elements (512 KB), which stay in L2 between passes
+# ``_mean_losses`` takes its matrix product in row blocks of at most this
+# many elements (32 MB), its peak memory, and runs the loss passes over row
+# blocks of about _LOSS_BLOCK_ELEMENTS (512 KB), which stay in L2 between passes
+_PRODUCT_BLOCK_ELEMENTS = 2**22
 _LOSS_BLOCK_ELEMENTS = 2**16
 
 DEFAULT_WEIGHT_RADIUS = 10.0
@@ -95,17 +98,52 @@ def _losses_into(z: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(out, z, out=out)
 
 
-def _mean_loss_and_gradient(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[float, Vector]:
-    """Mean logistic loss and its gradient over the rows of X, labels y."""
-    z = X @ w
-    return float(np.mean(_softplus(z) - y * z)), (expit(z) - y) @ X / X.shape[0]
+def _mean_loss_and_gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean logistic loss and its gradient over the rows of X, labels y.
+
+    At a point w (n,) it returns a scalar loss and an (n,) gradient; at a
+    (k, n) block, (k,) losses and (k, n) gradients. z has one row per point,
+    so a point and a one-row block both take numpy's matrix-vector path and
+    get the same bits.
+    """
+    z = w @ X.T
+    gradient = (expit(z) - y) @ X / X.shape[0]
+    return np.mean(_softplus(z) - y * z, axis=-1), gradient
+
+
+def _mean_losses(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(k,) mean logistic loss over the rows of X, labels y, at each row of W (k, n).
+
+    The product ``W @ X.T`` is taken in near-equal row blocks of at most
+    ``_PRODUCT_BLOCK_ELEMENTS`` elements or three rows, so no block of a
+    multi-row W is one row, which numpy would send down its matrix-vector
+    path with other rounding. Each row of losses is reduced on its own. The
+    values are a fixed function of (k, m), so reruns are bit-identical. A
+    row slice of the product need not have the whole product's bits: on
+    OpenBLAS with one thread and n in {2, 10, 20, 55}, slices of two or more
+    rows matched it with 4,000, 4,096 or 10,000 rows in X, while head slices
+    of 2 to 512 rows of a 700-row product differed with 300 rows in X.
+    """
+    m = X.shape[0]
+    parts = np.array_split(W, -(-W.shape[0] // max(3, _PRODUCT_BLOCK_ELEMENTS // m)))
+    rows = max(1, _LOSS_BLOCK_ELEMENTS // m)
+    # one buffer for every product block; array_split puts the longest first
+    product = np.empty((parts[0].shape[0], m))
+    losses = np.empty((min(rows, product.shape[0]), m))
+    means = []
+    for part in parts:
+        Z = np.matmul(part, X.T, out=product[: part.shape[0]])
+        for lo in range(0, Z.shape[0], rows):
+            block = losses[: min(rows, Z.shape[0] - lo)]
+            means.append(_losses_into(Z[lo : lo + rows], y, block).mean(axis=1))
+    return np.concatenate(means)
 
 
 class LogisticOracle(StochasticGradOracle):
     """One draw = the loss/gradient of a uniformly sampled dataset row.
 
-    The batch means reduce the gathered rows in one matrix product each,
-    without the per-draw arrays of ``draw_block`` and ``value_block_crn``.
+    The batch means run the full-data objective's kernels on the gathered
+    rows, without the per-draw arrays of ``draw_block`` and ``value_block_crn``.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
@@ -136,25 +174,11 @@ class LogisticOracle(StochasticGradOracle):
         return _softplus(z) - yb[:, None] * z
 
     def batch_mean(self, x, seed, step, count):
-        Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, count)
-        # z has one row per point; a point and a one-row block both take
-        # numpy's matrix-vector path, so they get the same bits
-        z = x @ Xb.T
-        gradient = (expit(z) - yb) @ Xb / count
-        return gradient, np.mean(_softplus(z) - yb * z, axis=-1)
+        value, gradient = _mean_loss_and_gradient(*self._rows(seed, step, _rng.GRAD_STREAM, count), x)
+        return gradient, value
 
     def value_means_crn(self, points, seed, step, count):
-        Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
-        # one row per point: row slices keep their bits (``estimate_values``),
-        # and each row block of losses takes its own row means
-        z = points @ Xb.T
-        rows = max(1, _LOSS_BLOCK_ELEMENTS // count)
-        losses = np.empty((min(rows, z.shape[0]), count))
-        means = np.empty(z.shape[0])
-        for lo in range(0, z.shape[0], rows):
-            block = losses[: min(rows, z.shape[0] - lo)]
-            means[lo : lo + rows] = _losses_into(z[lo : lo + rows], yb, block).mean(axis=1)
-        return means
+        return _mean_losses(*self._rows(seed, step, _rng.EVAL_STREAM, count), points)
 
 
 class LogisticProblem:
@@ -178,32 +202,17 @@ class LogisticProblem:
         return float(self.objective_many(np.asarray(weights, dtype=np.float64)[None, :])[0])
 
     def objective_many(self, weight_rows: np.ndarray) -> np.ndarray:
-        """Full-data mean loss at each row of (k, n) weights.
-
-        The loss passes run over row blocks of the one product ``X @ W.T``.
-        Row 0 of the block buffer carries the column sums so far into the
-        next block's reduction, so the rows add in the order of one pass
-        over the whole product. numpy sums a single column pairwise, not row
-        by row, so one column is one block.
-        """
-        Z = self.dataset.features @ np.asarray(weight_rows, dtype=np.float64).T
-        labels = self.dataset.labels[:, None]
-        m, k = Z.shape
-        rows = m if k <= 1 else max(1, _LOSS_BLOCK_ELEMENTS // k)
-        buf = np.empty((min(rows, m) + 1, k))
-        for lo in range(0, m, rows):
-            end = min(rows, m - lo) + 1
-            _losses_into(Z[lo : lo + rows], labels[lo : lo + rows], buf[1:end])
-            # the first block has no sums to carry
-            buf[0] = np.add.reduce(buf[0 if lo else 1 : end], axis=0)
-        return buf[0] / m
+        """Full-data mean loss at each row of (k, n) weights (``_mean_losses``)."""
+        W = np.asarray(weight_rows, dtype=np.float64)
+        return _mean_losses(self.dataset.features, self.dataset.labels, W)
 
     def gradient(self, weights) -> Vector:
         return self.objective_and_gradient(weights)[1]
 
     def objective_and_gradient(self, weights) -> tuple[float, Vector]:
         w = _as_vector(weights, self.dimension)
-        return _mean_loss_and_gradient(self.dataset.features, self.dataset.labels, w)
+        value, gradient = _mean_loss_and_gradient(self.dataset.features, self.dataset.labels, w)
+        return float(value), gradient
 
     def oracle(self) -> LogisticOracle:
         return LogisticOracle(self.dataset.features, self.dataset.labels)
@@ -431,6 +440,8 @@ def load_dataset_csv(path) -> Dataset:
                 label = float(row[label_pos])
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{line_no}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetFormatError(f"{path}:{line_no}: features must be finite")
             if label not in (0.0, 1.0):
                 raise DatasetFormatError(f"{path}:{line_no}: label must be 0 or 1, got {row[label_pos]!r}")
             features.append(values)

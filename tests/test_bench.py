@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -433,26 +434,35 @@ class TestRunExperiment:
             ).read_bytes()
 
 
-# sha256 of the two traces and of summary.csv without its wall_time_s
-# column, for run_experiment at m=20000, n=10, seed 0 and 150 iterations per
-# solver (the experiment-n10 benchmark's run). They move only when a change
-# to the draws, the kernels, the reductions or the file format is meant to.
-PINNED_EXPERIMENT_DIGESTS = [
-    "8938e41c04055df61199fb5ad1d942a229b9cd8141701689c9980504db342d3f",
-    "4ddb33819de32cac43bf4d583a8038dd9769701e0a055acb1c831e9724208ca1",
-    "783f6446a032903db5584f1b80ff95944f45e00bf40bc3fe47640abaaec0121e",
-]
+# sha256 of each artifact of run_experiment at m=20000, n=10, seed 0 and 150
+# iterations per solver (the experiment-n10 benchmark's run): the two traces,
+# summary.csv without its wall_time_s column, and manifest.txt without its
+# out_dir line. They move only when a change to the draws, the kernels, the
+# reductions or the file format is meant to.
+PINNED_EXPERIMENT_DIGESTS = {
+    "ellipsoid-seed0.csv": "8938e41c04055df61199fb5ad1d942a229b9cd8141701689c9980504db342d3f",
+    "sgd-seed0.csv": "4ddb33819de32cac43bf4d583a8038dd9769701e0a055acb1c831e9724208ca1",
+    "summary.csv": "4e026fbcd6b811ea61289403ebca20d944c05533f986091d3f12a0c5b4ab9f32",
+    "manifest.txt": "ae3ecff44deedd3b3821aacbf629d83de96fa4b963c28496d92f9da1925c51df",
+}
 
 
-def _experiment_digests() -> list[str]:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _experiment_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as out_dir:
         outcome = run_experiment(BenchConfig(m=20000, n=10, seeds=(0,), max_iters=150,
                                              out_dir=out_dir))
-        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in outcome.trace_paths]
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in outcome.trace_paths}
         wall = SUMMARY_COLUMNS.index("wall_time_s")
         rows = [line.split(",") for line in outcome.summary_path.read_text(encoding="utf-8").splitlines()]
-    summary = "\n".join(",".join(row[:wall] + row[wall + 1:]) for row in rows)
-    return digests + [hashlib.sha256(summary.encode("utf-8")).hexdigest()]
+        manifest = outcome.manifest_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    digests["summary.csv"] = _sha256("\n".join(",".join(row[:wall] + row[wall + 1:]) for row in rows))
+    digests["manifest.txt"] = _sha256("".join(line for line in manifest if not line.startswith("out_dir=")))
+    return digests
 
 
 def test_experiment_artifacts_are_pinned_to_recorded_bits():
@@ -460,8 +470,9 @@ def test_experiment_artifacts_are_pinned_to_recorded_bits():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
                                                        os.environ.get("PYTHONPATH")])))
-    code = "import test_bench; print(test_bench._experiment_digests())"
+    code = "import json, test_bench; print(json.dumps(test_bench._experiment_digests()))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == repr(PINNED_EXPERIMENT_DIGESTS)
+    # pytest's dict comparison names each artifact whose digest moved
+    assert json.loads(run.stdout) == PINNED_EXPERIMENT_DIGESTS

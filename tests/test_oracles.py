@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsopt import _rng, oracles
+from ellipsopt import _rng, problems
 from ellipsopt.geometry import Ball, Box
 from ellipsopt.oracles import (
     BatchSpec,
@@ -256,14 +256,19 @@ def test_estimate_values_shares_noise_across_points():
     assert values[0] == values[1]
 
 
-def _recording_block_widths(oracle, widths):
-    value_means_crn = oracle.value_means_crn
+def _recording_product_widths(monkeypatch, widths):
+    """Record the rows of each product block the logistic value means take.
 
-    def recording(points, *args):
-        widths.append(points.shape[0])
-        return value_means_crn(points, *args)
+    One loss pass per product block makes each block one ``_losses_into``
+    call; the loss blocking never changes a value's bits."""
+    losses_into = problems._losses_into
 
-    oracle.value_means_crn = recording
+    def recording(z, y, out):
+        widths.append(z.shape[0])
+        return losses_into(z, y, out)
+
+    monkeypatch.setattr(problems, "_LOSS_BLOCK_ELEMENTS", 2**62)
+    monkeypatch.setattr(problems, "_losses_into", recording)
 
 
 def _logistic_oracle(n):
@@ -271,30 +276,27 @@ def _logistic_oracle(n):
     return LogisticOracle(ds.features, ds.labels)
 
 
-@pytest.mark.parametrize("make, n", [(_logistic_oracle, 55),
-                                     (lambda n: GaussianOracle(quad_value_grad, n, 0.5), 20)],
-                         ids=["logistic-n55", "gaussian-n20"])
-def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch, make, n):
-    oracle = make(n)
+def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch):
+    oracle = _logistic_oracle(55)
     batch = BatchSpec(size=4096, seed=7)
-    per_block = oracles._MAX_BLOCK_DRAWS // batch.size
-    points = np.random.default_rng(0).uniform(-0.3, 0.3, size=(2 * per_block + 1, n))
+    per_block = problems._PRODUCT_BLOCK_ELEMENTS // batch.size
+    points = np.random.default_rng(0).uniform(-0.3, 0.3, size=(2 * per_block + 1, 55))
     widths = []
-    _recording_block_widths(oracle, widths)
+    _recording_product_widths(monkeypatch, widths)
     values = estimate_values(oracle, points, batch, step=2)
     assert len(widths) == 3
-    monkeypatch.setattr(oracles, "_MAX_BLOCK_DRAWS", batch.size * points.shape[0])
+    monkeypatch.setattr(problems, "_PRODUCT_BLOCK_ELEMENTS", batch.size * points.shape[0])
     assert _hex(values) == _hex(estimate_values(oracle, points, batch, step=2))
     assert widths[-1] == points.shape[0]
 
 
 def test_blocks_hold_two_to_the_cap_points(monkeypatch):
-    oracle = GaussianOracle(quad_value_grad, 2, sigma=1.0)
+    oracle = _logistic_oracle(2)
     batch = BatchSpec(size=16, seed=0)
-    monkeypatch.setattr(oracles, "_MAX_BLOCK_DRAWS", 3 * batch.size)
+    monkeypatch.setattr(problems, "_PRODUCT_BLOCK_ELEMENTS", 3 * batch.size)
     points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 2))
     widths = []
-    _recording_block_widths(oracle, widths)
+    _recording_product_widths(monkeypatch, widths)
     for k in range(2, 41):
         widths.clear()
         estimate_values(oracle, points[:k], batch)
@@ -306,7 +308,7 @@ def test_estimate_values_memory_stays_bounded_by_the_block_size():
     ds, _ = generate_synthetic(300, 3, seed=1)
     logistic = LogisticOracle(ds.features, ds.labels)
     batch = BatchSpec(size=4096, seed=0)
-    bound = 6 * oracles._MAX_BLOCK_DRAWS * 8
+    bound = 6 * problems._PRODUCT_BLOCK_ELEMENTS * 8
     points = np.zeros((8192, 3))
     # one unblocked (batch x points) float64 value matrix alone exceeds the bound
     assert batch.size * points.shape[0] * 8 > bound

@@ -182,8 +182,23 @@ class TestBlockedLossPasses:
         problem = LogisticProblem(generate_synthetic(m, n, seed=k)[0])
         W = _spread_weights(k, n, seed=m)
         X, y = problem.dataset.features, problem.dataset.labels
-        reference = _one_pass_losses(X @ W.T, y[:, None]).mean(axis=0)
+        reference = _one_pass_losses(W @ X.T, y).mean(axis=1)
         assert np.array_equal(problem.objective_many(W), reference)
+
+    @pytest.mark.parametrize("m", [4000, 10000])
+    def test_objective_many_keeps_its_bits_over_any_split(self, m):
+        problem = LogisticProblem(generate_synthetic(m, 55, seed=m)[0])
+        W = _spread_weights(700, 55, seed=1)
+        whole = problem.objective_many(W)
+        # at these data sizes a row slice of two or more rows of W @ X.T has
+        # the whole product's bits, so no split into such parts moves a value
+        widths = np.random.default_rng(m).integers(2, 150, size=20)
+        splits = [[2], [698], [350], range(2, 700, 2), range(3, 698, 3),
+                  np.cumsum(widths)[np.cumsum(widths) <= 698]]
+        for cuts in splits:
+            parts = np.split(W, list(cuts))
+            assert min(p.shape[0] for p in parts) >= 2
+            assert np.array_equal(np.concatenate([problem.objective_many(p) for p in parts]), whole)
 
     @pytest.mark.parametrize("n", [10, 55])
     @pytest.mark.parametrize("count, points", _block_cases())
@@ -209,8 +224,24 @@ class TestBlockedLossPasses:
 
         blocked = peak_bytes(lambda: problem.objective_many(W))
         one_pass = peak_bytes(lambda: _one_pass_losses(X @ W.T, y[:, None]).mean(axis=0))
-        # one (10000, 512) product against the product, its losses and a temporary
+        # one (256, 10000) product block against the whole product, its losses
+        # and a temporary
         assert blocked < one_pass / 2
+
+    def test_objective_many_peaks_near_one_product_block(self):
+        problem = LogisticProblem(generate_synthetic(10000, 3, seed=2)[0])
+        W = _spread_weights(1200, 3, seed=5)
+        # one product block in float64, and half a block for everything else
+        bound = 3 * problems._PRODUCT_BLOCK_ELEMENTS * 8 // 2
+        # the whole (1200, 10000) float64 product alone exceeds the bound
+        assert W.shape[0] * problem.dataset.size * 8 > bound
+        tracemalloc.start()
+        try:
+            problem.objective_many(W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestLogisticOracle:
@@ -506,6 +537,9 @@ class TestDatasetCsv:
             ("y,f0,y\n1,1.0,0\n", "exactly one 'y' column"),
             ("f0,f1,y\n1.0,2.0\n", ":2: expected 3 fields, got 2"),
             ("f0,f1,y\n1.0,spam,0\n", ":2:"),
+            ("f0,f1,y\n1.0,2.0,1\n1.0,nan,0\n", ":3: features must be finite"),
+            ("f0,f1,y\n1.0,2.0,1\n1.0,inf,0\n", ":3: features must be finite"),
+            ("f0,f1,y\n1.0,2.0,1\n-inf,2.0,0\n", ":3: features must be finite"),
             ("f0,f1,y\n1.0,2.0,7\n", "label must be 0 or 1"),
             ("f0,f1,y\n", "no data rows"),
         ],
