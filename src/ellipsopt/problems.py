@@ -99,13 +99,9 @@ def _losses_into(z: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _mean_loss_and_gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean logistic loss and its gradient over the rows of X, labels y.
-
-    At a point w (n,) it returns a scalar loss and an (n,) gradient; at a
-    (k, n) block, (k,) losses and (k, n) gradients. z has one row per point,
-    so a point and a one-row block both take numpy's matrix-vector path and
-    get the same bits.
-    """
+    """Mean logistic loss and its gradient over the rows of X, labels y, at a
+    point w (n,), or (k,) losses and (k, n) gradients at a (k, n) block. A
+    one-row block takes the matrix-vector path of a point and has its bits."""
     z = w @ X.T
     gradient = (expit(z) - y) @ X / X.shape[0]
     return np.mean(_softplus(z) - y * z, axis=-1), gradient

@@ -192,9 +192,9 @@ class TestBlockedLossPasses:
         whole = problem.objective_many(W)
         # at these data sizes a row slice of two or more rows of W @ X.T has
         # the whole product's bits, so no split into such parts moves a value
-        widths = np.random.default_rng(m).integers(2, 150, size=20)
+        random_cuts = np.cumsum(np.random.default_rng(m).integers(2, 150, size=20))
         splits = [[2], [698], [350], range(2, 700, 2), range(3, 698, 3),
-                  np.cumsum(widths)[np.cumsum(widths) <= 698]]
+                  random_cuts[random_cuts <= 698]]
         for cuts in splits:
             parts = np.split(W, list(cuts))
             assert min(p.shape[0] for p in parts) >= 2
