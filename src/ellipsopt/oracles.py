@@ -15,8 +15,8 @@ logistic oracle reduces its gathered rows in one matrix product; the
 Gaussian oracle returns the exact answer plus terms in the pairwise column
 means of its (count, n) noise block, which are zero at sigma = 0. Both are
 fixed for a fixed shape, and a one-row block has the bits of the point. The
-perturbed oracle averages nothing, so exact oracles return exact values at
-every batch size.
+perturbed oracle averages nothing, so it and a zero-sigma Gaussian oracle
+return exact values at every batch size.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .geometry import FeasibleSet, Vector, _as_vector
+from .geometry import FeasibleSet, Vector, _as_points, _as_vector
 
 _CERTIFICATE_TOL = 1e-9
 
@@ -79,7 +79,7 @@ class StochasticGradOracle(ABC):
     def dimension(self) -> int: ...
 
     @property
-    def is_deterministic(self) -> bool:
+    def is_exact(self) -> bool:
         """True when every draw equals the exact value/gradient."""
         return False
 
@@ -115,15 +115,18 @@ def minibatch_gradient(
 def estimate_values(
     oracle: StochasticGradOracle, points: np.ndarray, batch: BatchSpec, step: int = 0
 ) -> np.ndarray:
-    """Estimated objective at each row of ``points`` from one shared batch.
-
-    All points see the same noise realizations (common random numbers), so
-    estimate differences cancel most of the noise when points are close.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[1] != oracle.dimension:
-        raise ValueError(f"points must have width {oracle.dimension}")
+    """Estimated objective at a finite point (n,) or at each row of a block
+    (k, n), all from one shared batch. All points see the same noise
+    realizations (common random numbers), so estimate differences cancel
+    most of the noise when points are close."""
+    pts = np.atleast_2d(_as_points(points, oracle.dimension))
     return oracle.value_means_crn(pts, batch.seed, step, batch.size)
+
+
+def _as_value(value) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError("objective values must be finite")
+    return value
 
 
 def _exact_answers(value_grad, x: np.ndarray, dim: int):
@@ -133,7 +136,12 @@ def _exact_answers(value_grad, x: np.ndarray, dim: int):
         answers = [_exact_answers(value_grad, p, dim) for p in x]
         return np.array([value for value, _ in answers]), np.array([grad for _, grad in answers])
     value, grad = value_grad(x)
-    return float(value), _as_vector(grad, dim)
+    return _as_value(value), _as_vector(grad, dim)
+
+
+def _exact_values(value_grad, points: np.ndarray) -> np.ndarray:
+    """(k,) values f(p) at the rows of a block, without their gradients."""
+    return np.array([_as_value(value_grad(p)[0]) for p in points])
 
 
 def _concentration_constant(beta: float) -> float:
@@ -231,7 +239,7 @@ class GaussianOracle(StochasticGradOracle):
     value comparison between nearby points stays informative, and a batch's
     means are g(x) + mean(zeta) and f(x) + <mean(zeta), x>.
 
-    ``sigma`` equal to zero makes the oracle exact (and deterministic).
+    ``sigma`` equal to zero makes the oracle exact.
     """
 
     def __init__(self, value_grad, dimension: int, sigma: float) -> None:
@@ -249,7 +257,7 @@ class GaussianOracle(StochasticGradOracle):
         return self._dim
 
     @property
-    def is_deterministic(self) -> bool:
+    def is_exact(self) -> bool:
         return self.sigma == 0.0
 
     def _noise(self, seed, stream, step, count) -> np.ndarray:
@@ -271,7 +279,7 @@ class GaussianOracle(StochasticGradOracle):
         return grad + zeta, value + np.vecdot(x, zeta)
 
     def value_means_crn(self, points, seed, step, count):
-        values = _exact_answers(self._value_grad, points, self._dim)[0]
+        values = _exact_values(self._value_grad, points)
         zeta = _rng.pairwise_mean(self._noise(seed, _rng.EVAL_STREAM, step, count))
         # a row sum, unlike a matrix product, gives a point the same bits in any block
         return values + (points * zeta).sum(axis=1)
@@ -282,8 +290,8 @@ class PerturbedOracle(StochasticGradOracle):
 
     Every draw at step k returns g(x) + e_k with ||e_k|| = offset_norm
     exactly, so each call is a delta-subgradient with delta = offset_norm * D
-    on a set of diameter D. Values are exact. Useful for validating the
-    deterministic gap bound without concentration arguments.
+    on a set of diameter D. Values are exact, gradients only at offset 0.
+    Useful for validating the gap bound without concentration arguments.
     """
 
     def __init__(self, value_grad, dimension: int, offset_norm: float) -> None:
@@ -300,9 +308,8 @@ class PerturbedOracle(StochasticGradOracle):
         return self._dim
 
     @property
-    def is_deterministic(self) -> bool:
-        # gradient offsets are a fixed function of the step; values are exact
-        return True
+    def is_exact(self) -> bool:
+        return self.offset_norm == 0.0
 
     def offset(self, seed: int, step: int) -> np.ndarray:
         key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
@@ -314,4 +321,4 @@ class PerturbedOracle(StochasticGradOracle):
         return grad + self.offset(seed, step), value
 
     def value_means_crn(self, points, seed, step, count):
-        return np.array([float(self._value_grad(p)[0]) for p in points])
+        return _exact_values(self._value_grad, points)

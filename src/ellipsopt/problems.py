@@ -384,9 +384,9 @@ def _newton_reference(problem: LogisticProblem, tol: float) -> tuple[Vector, flo
 
 
 def _cut_reference(problem, tol: float, seed: int) -> tuple[Vector, float]:
-    """Zero-noise cut-solver run, budgeted so the worst-case gap bound clears
-    ``tol``; ``solve`` stops at, and returns, the first center whose
-    exact-gradient certificate clears it."""
+    """Zero-noise cut-solver run at eps = ``tol``, budgeted so the worst-case
+    gap bound clears it; the oracle is exact, so ``solve`` stops at, and
+    returns, the first center whose exact-gradient certificate clears it."""
     oracle = GaussianOracle(problem.objective_and_gradient, problem.feasible_set.dimension, sigma=0.0)
     value_range = estimate_value_range(oracle, problem.feasible_set, seed=seed)
     config = SolverConfig(
@@ -395,7 +395,6 @@ def _cut_reference(problem, tol: float, seed: int) -> tuple[Vector, float]:
         seed=seed,
         batch_size=1,
         value_range=max(value_range, tol),
-        certificate_stop=tol,
     )
     best = solve(oracle, problem.feasible_set, config).best_point
     return best, float(problem.objective(best))

@@ -4,8 +4,9 @@ The run starts from the feasible set's bounding ball and repeatedly halves an
 ellipsoid: at a feasible center it cuts along a minibatch gradient estimate,
 at an infeasible center along a separation hyperplane. After the budget is
 spent, every feasible center (including the one produced by the final update)
-competes in a fresh shared-noise evaluation and the best one is returned; an
-early stop, on a zero gradient or a certificate, returns its own center.
+competes in a fresh shared-noise evaluation and the best one is returned. An
+early stop returns its own center: on a zero gradient, or, for an exact
+oracle only, on a center whose exact-gradient gap bound is at most eps.
 
 For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
@@ -70,9 +71,8 @@ class SolverConfig:
     """Run parameters; fields left None are derived by ``resolve_plan``.
 
     ``value_range`` (the objective's max-min spread B) is estimated by
-    sampling when not supplied. ``certificate_stop`` ends a noiseless run at,
-    and returns, the first center the exact-gradient gap bound certifies; it
-    must stay None for noisy runs. ``workers`` has no effect; it is kept so
+    sampling when not supplied. ``eps`` is also where a run on an exact
+    oracle stops on a certificate. ``workers`` has no effect; it is kept so
     that existing callers and saved configs still load.
     """
 
@@ -84,7 +84,6 @@ class SolverConfig:
     batch_size: int | None = None
     max_iterations: int | None = None
     value_range: float | None = None
-    certificate_stop: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < math.inf:
@@ -229,15 +228,15 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
 
     The run follows ``resolve_plan(oracle, feasible_set, config)``. The trace
     records every iteration's center, branch, estimate and log det of the
-    ellipsoid shape.
+    ellipsoid shape. When ``oracle.is_exact`` (no other gradient makes the
+    bound sound), the first feasible center whose ``linear_optimality_gap``
+    is at most ``config.eps`` ends the run and is returned.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
         raise ValueError(
             f"oracle dimension {oracle.dimension} does not match the set's {n}"
         )
-    if config.certificate_stop is not None and not oracle.is_deterministic:
-        raise ValueError("certificate_stop requires a deterministic oracle")
     plan = resolve_plan(oracle, feasible_set, config)
     batch = BatchSpec(size=plan.batch_size, seed=config.seed)
     ball = feasible_set.bounding_ball
@@ -245,7 +244,6 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
 
     records: list[IterationRecord] = []
     termination = TERMINATION_BUDGET
-    stopped_at: tuple[Vector, float] | None = None  # what an early stop returns
     grad_draws = 0
 
     for k in range(plan.iterations):
@@ -256,23 +254,17 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             cut, estimate = minibatch_gradient(oracle, center, batch, step=k)
             grad_draws += plan.batch_size
             if float(np.linalg.norm(cut)) <= plan.zero_tol:
-                records.append(IterationRecord(k, center, True, CUT_ZERO_GRAD, estimate, log_det))
-                stopped_at = (center, estimate)
-                termination = TERMINATION_ZERO_GRAD
-                break
-            kind = CUT_SUBGRADIENT
+                kind, termination = CUT_ZERO_GRAD, TERMINATION_ZERO_GRAD
+            else:
+                kind = CUT_SUBGRADIENT
+                if oracle.is_exact and linear_optimality_gap(feasible_set, center, cut) <= config.eps:
+                    termination = TERMINATION_CERTIFIED
         else:
             cut = feasible_set.separation_hyperplane(center)
             estimate = None
             kind = CUT_SEPARATION
         records.append(IterationRecord(k, center, feasible, kind, estimate, log_det))
-        if (
-            config.certificate_stop is not None
-            and feasible
-            and linear_optimality_gap(feasible_set, center, cut) <= config.certificate_stop
-        ):
-            stopped_at = (center, estimate)
-            termination = TERMINATION_CERTIFIED
+        if termination != TERMINATION_BUDGET:
             break
         try:
             ellipsoid = ellipsoid_step(ellipsoid, cut)
@@ -280,8 +272,9 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             termination = TERMINATION_DEGENERATE
             break
 
-    if stopped_at is not None:
-        point, estimate = stopped_at
+    if termination in (TERMINATION_ZERO_GRAD, TERMINATION_CERTIFIED):
+        # an early stop returns its own center
+        point, estimate = records[-1].center, records[-1].f_estimate
         eval_draws = 0
     else:
         candidates = [(r.index, r.center) for r in records if r.feasible]

@@ -74,7 +74,8 @@ def test_required_batch_size_meets_target(sigma, diameter, eps, beta):
 
 def test_zero_sigma_oracle_is_exact_and_deterministic():
     oracle = GaussianOracle(quad_value_grad, 3, sigma=0.0)
-    assert oracle.is_deterministic
+    assert oracle.is_exact
+    assert not GaussianOracle(quad_value_grad, 3, sigma=0.1).is_exact
     x = np.array([0.5, -1.0, 2.0])
     gradient, value = minibatch_gradient(oracle, x, BatchSpec(size=1, seed=4))
     assert value == pytest.approx(float(x @ x), rel=1e-15)
@@ -344,7 +345,9 @@ def test_a_gaussian_draw_peaks_at_two_noise_blocks(draw):
 def test_perturbed_oracle_offset_norm_and_exact_values():
     eta = 0.01
     oracle = PerturbedOracle(quad_value_grad, 3, eta)
-    assert oracle.is_deterministic
+    # every gradient carries the offset, so its certificate is not sound
+    assert not oracle.is_exact
+    assert PerturbedOracle(quad_value_grad, 3, 0.0).is_exact
     x = np.array([0.3, 0.4, -0.2])
     for step in range(5):
         gradient, value = oracle.batch_mean(x, seed=0, step=step, count=1)
@@ -367,6 +370,48 @@ def test_exact_oracles_answer_exactly_at_any_batch_size(make):
         assert _hex(gradient) == _hex(grad + offset)
     means = oracle.value_means_crn(points, seed=1, step=2, count=3)
     assert _hex(means) == _hex([value for value, _ in exact])
+
+
+def nan_beyond_value_grad(x):
+    # a finite gradient everywhere, but no value where x[0] > 0.2
+    x = np.asarray(x, dtype=np.float64)
+    return (math.nan if x[0] > 0.2 else float(x @ x)), 2.0 * x
+
+
+@pytest.mark.parametrize("make", [lambda: GaussianOracle(nan_beyond_value_grad, 2, sigma=0.3),
+                                  lambda: PerturbedOracle(nan_beyond_value_grad, 2, 0.1)],
+                         ids=["gaussian", "perturbed"])
+def test_a_non_finite_objective_value_raises(make):
+    oracle = make()
+    inside, beyond = np.array([0.1, 0.0]), np.array([0.5, 0.0])
+    oracle.batch_mean(inside, seed=0, step=0, count=8)
+    with pytest.raises(ValueError, match="objective values must be finite"):
+        oracle.batch_mean(beyond, seed=0, step=0, count=8)
+    with pytest.raises(ValueError, match="objective values must be finite"):
+        oracle.batch_mean(np.vstack([inside, beyond]), seed=0, step=0, count=8)
+    with pytest.raises(ValueError, match="objective values must be finite"):
+        oracle.value_means_crn(np.vstack([inside, beyond]), seed=0, step=0, count=8)
+
+
+def _features_and_labels(m, n):
+    ds, _ = generate_synthetic(m, n, seed=0)
+    return ds.features, ds.labels
+
+
+@pytest.mark.parametrize("make", [lambda: GaussianOracle(quad_value_grad, 3, sigma=0.3),
+                                  lambda: PerturbedOracle(quad_value_grad, 3, 0.1),
+                                  lambda: LogisticOracle(*_features_and_labels(200, 3))],
+                         ids=["gaussian", "perturbed", "logistic"])
+def test_estimate_values_rejects_non_finite_points(make):
+    oracle, batch = make(), BatchSpec(size=16, seed=0)
+    point = np.array([0.1, 0.0, 0.0])
+    assert estimate_values(oracle, point, batch).shape == (1,)
+    assert estimate_values(oracle, np.vstack([point, point]), batch).shape == (2,)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_values(oracle, [[bad, 0.0, 0.0], [0.1, 0.0, 0.0]], batch)
+    with pytest.raises(ValueError, match=r"\(3,\) point"):
+        estimate_values(oracle, np.zeros((2, 2)), batch)
 
 
 def test_verify_delta_subgradient_accepts_true_perturbation():

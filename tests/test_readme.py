@@ -1,5 +1,6 @@
-"""The README's Python example runs against the current package."""
+"""The README's Python example and API list match the current package."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -11,3 +12,18 @@ def test_readme_python_example_runs():
                         flags=re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_entry_points_resolve():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Key entry points:", 1)[1].split("\n## ", 1)[0]
+    modules, checked = 0, 0
+    for module_name, body in re.findall(r"^- `(ellipsopt\.\w+)`:(.*?)(?=^- |\Z)", section,
+                                        flags=re.DOTALL | re.MULTILINE):
+        module = importlib.import_module(module_name)
+        modules += 1
+        # the `validate` subcommand is named there, not a Python name
+        for name in set(re.findall(r"`(\w+)`", body)) - {"validate"}:
+            assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"
+            checked += 1
+    assert modules == 7 and checked >= 20

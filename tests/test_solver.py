@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsopt.geometry import Ball, Box, shape_det_ratio
-from ellipsopt.oracles import BatchSpec, GaussianOracle
+from ellipsopt.geometry import Ball, Box, linear_optimality_gap, shape_det_ratio
+from ellipsopt.oracles import BatchSpec, GaussianOracle, PerturbedOracle
 from ellipsopt.problems import LinearProblem, QuadraticProblem
 from ellipsopt.reporting import (
     CUT_SEPARATION,
@@ -118,24 +118,62 @@ def test_zero_gradient_exits_early_with_current_center():
     assert np.allclose(report.best_point, np.zeros(2))
 
 
-def test_certificate_stop_for_exact_oracles():
+def test_an_exact_oracle_stops_at_an_eps_certificate():
     ball = Ball(np.zeros(2), 1.0)
     problem = QuadraticProblem(np.array([0.5, 0.1]), ball)
     oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
-    config = SolverConfig(eps=1e-9, sigma=0.0, seed=0, certificate_stop=1e-6)
+    config = SolverConfig(eps=1e-6, sigma=0.0, seed=0)
     report = solve(oracle, ball, config)
     assert report.termination == TERMINATION_CERTIFIED
+    assert report.eval_draws == 0
+    assert np.array_equal(report.best_point, report.records[-1].center)
     gap = problem.objective(report.best_point) - problem.reference()[1]
     assert gap <= 1e-6
-    full = solve(oracle, ball, SolverConfig(eps=1e-9, sigma=0.0, seed=0))
-    assert report.iterations < full.iterations
+    assert report.iterations < resolve_plan(oracle, ball, config).iterations
 
 
-def test_certificate_stop_rejected_for_noisy_oracles():
+def test_a_noisy_oracle_never_ends_certified():
     ball = Ball(np.zeros(2), 1.0)
-    oracle = GaussianOracle(quadratic := (lambda x: (float(x @ x), 2 * np.asarray(x))), 2, sigma=0.5)
-    with pytest.raises(ValueError):
-        solve(oracle, ball, SolverConfig(sigma=0.5, certificate_stop=1e-3))
+    problem = QuadraticProblem(np.array([0.3, -0.2]), ball)
+    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.05)
+    config = SolverConfig(eps=0.05, sigma=0.05, seed=0, batch_size=64, max_iterations=60)
+    report = solve(oracle, ball, config)
+    assert report.termination == TERMINATION_BUDGET
+    # the exact gradient would have certified a visited center
+    assert min(linear_optimality_gap(ball, r.center, problem.gradient(r.center))
+               for r in report.records if r.feasible) <= 0.05
+
+
+def test_an_offset_oracle_never_ends_certified():
+    # at offset 0.5 a cut's own gap bound is no certificate: with one that
+    # stopped at eps, 18 of these runs ended certified, 16 of them further
+    # than eps from f* (worst 0.0730)
+    ball = Ball(np.zeros(2), 1.0)
+    for seed in range(200):
+        problem = QuadraticProblem(np.random.default_rng(seed).uniform(-0.5, 0.5, 2), ball)
+        oracle = PerturbedOracle(problem.objective_and_gradient, 2, 0.5)
+        config = SolverConfig(eps=0.05, sigma=0.0, seed=seed, batch_size=1,
+                              max_iterations=200, value_range=4.0)
+        assert solve(oracle, ball, config).termination != TERMINATION_CERTIFIED
+
+
+@pytest.mark.parametrize("make_set", [lambda n: Ball(np.zeros(n), 1.0),
+                                      lambda n: Box.centered(n, 1.0)], ids=["ball", "box"])
+def test_every_certified_exact_run_is_within_eps(make_set):
+    rng = np.random.default_rng(11)
+    certified = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        feasible_set = make_set(n)
+        problem = (QuadraticProblem(rng.uniform(-1.2, 1.2, n), feasible_set) if rng.random() < 0.5
+                   else LinearProblem(rng.standard_normal(n), feasible_set))
+        eps = float(10.0 ** rng.uniform(-4, -1))
+        oracle = GaussianOracle(problem.objective_and_gradient, n, sigma=0.0)
+        report = solve(oracle, feasible_set, SolverConfig(eps=eps, sigma=0.0, seed=int(rng.integers(100))))
+        if report.termination == TERMINATION_CERTIFIED:
+            certified += 1
+            assert problem.objective(report.best_point) - problem.reference()[1] <= eps
+    assert certified >= 20
 
 
 def test_max_iterations_zero_budget_raises_no_feasible():
