@@ -36,7 +36,7 @@ from .problems import (
     save_dataset_csv,
     split_train_test,
 )
-from .reporting import IterationRecord, SolverReport, write_trace_csv
+from .reporting import SolverReport, Trace, write_trace_csv
 from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import (
     NoFeasiblePointError,

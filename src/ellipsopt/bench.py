@@ -31,7 +31,7 @@ from .problems import (
     load_dataset_csv,
     split_train_test,
 )
-from .reporting import SolverReport, format_float, write_trace_csv
+from .reporting import SolverReport, Trace, format_float, write_trace_csv
 from .sgd import SgdConfig, default_step_grid, sgd_run
 from .solver import SolverConfig, resolve_plan, solve
 
@@ -182,27 +182,27 @@ def first_crossings(curve, f_star: float):
     return tuple(out)
 
 
-def running_best_test_curve(records, test_problem: LogisticProblem) -> np.ndarray:
+def running_best_test_curve(trace: Trace, test_problem: LogisticProblem) -> np.ndarray:
     """Test loss of the point the cut solver would return after each step.
 
     The anytime output is the feasible center with the lowest recorded
-    estimate so far; the test loss is only re-evaluated when that center
-    changes, so the curve costs one full test pass per improvement.
+    estimate so far (a separation row's NaN never is). Its test loss is
+    recomputed, as a single-row pass with matrix-vector bits, only when it changes.
     """
     best_estimate = math.inf
     current = math.inf
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        if rec.feasible and rec.f_estimate is not None and rec.f_estimate < best_estimate:
-            best_estimate = rec.f_estimate
-            current = float(test_problem.objective(rec.center))
+    out = np.empty(len(trace))
+    for i, estimate in enumerate(trace.f_estimates.tolist()):
+        if estimate < best_estimate:
+            best_estimate = estimate
+            current = float(test_problem.objective(trace.centers[i]))
         out[i] = current
     return out
 
 
-def iterate_test_curve(records, test_problem: LogisticProblem) -> np.ndarray:
+def iterate_test_curve(trace: Trace, test_problem: LogisticProblem) -> np.ndarray:
     """Test loss of every recorded iterate (SGD's anytime output)."""
-    return test_problem.objective_many(np.vstack([rec.center for rec in records]))
+    return test_problem.objective_many(trace.centers)
 
 
 def load_dataset(config: BenchConfig, seed: int):
@@ -237,10 +237,13 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
         plan = resolve_plan(oracle, ball, solver_cfg)
     except ValueError as exc:
         raise InfeasibleConfigError(str(exc)) from exc
+    if plan.iterations == 0:
+        raise InfeasibleConfigError(f"seed {seed}: the iteration budget derived for eps={config.eps} "
+                                    "is 0, so no run has a curve; use a smaller eps or set max_iters")
     # the solve reuses the probed range instead of probing again
     solver_cfg = dataclasses.replace(solver_cfg, value_range=plan.value_range)
     sweep = config.sweep if config.sweep is not None else default_step_grid(ball.diameter, plan.value_range)
-    sgd_iters = config.sgd_iterations if config.sgd_iterations is not None else max(plan.iterations, 1)
+    sgd_iters = config.sgd_iterations if config.sgd_iterations is not None else plan.iterations
 
     w_star, f_star_train = erm_reference(problem, tol=config.erm_tol, seed=seed)
     f_star_test = float(test_problem.objective(w_star))

@@ -1,4 +1,4 @@
-"""Iteration records, run reports, and the trace CSV format.
+"""Run traces, run reports, and the trace CSV format.
 
 Trace files have one row per iteration with the header
 ``k,feasible,cut_kind,f_estimate,logdet_H,c0,...,c{n-1}``. Floats are written
@@ -7,7 +7,10 @@ in shortest round-trip form, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Vector
 
@@ -24,18 +27,37 @@ TERMINATION_DEGENERATE = "degenerate"
 TERMINATION_CERTIFIED = "certified"
 
 
+# one row of a Trace, as Trace.__getitem__ reads it for perfbench/workloads.py
+IterationRecord = namedtuple("IterationRecord", "index center feasible cut_kind f_estimate log_det_shape")
+
+
 @dataclass(frozen=True)
-class IterationRecord:
-    index: int
-    center: Vector
-    feasible: bool
-    cut_kind: str
-    f_estimate: float | None
-    log_det_shape: float | None
+class Trace:
+    """A run's iterations as columns, row k for iteration k. A center is
+    infeasible, and has no estimate (NaN), exactly where its cut kind is CUT_SEPARATION."""
+
+    centers: np.ndarray  # (N, n)
+    cut_kinds: np.ndarray  # (N,) of TRACE_CUT_KINDS
+    f_estimates: np.ndarray  # (N,)
+    log_dets: np.ndarray | None  # (N,) log det of the ellipsoid shape; None for SGD
 
     def __post_init__(self) -> None:
-        if self.cut_kind not in TRACE_CUT_KINDS:
-            raise ValueError(f"unknown cut kind {self.cut_kind!r}")
+        if not set(self.cut_kinds.tolist()).issubset(TRACE_CUT_KINDS):
+            raise ValueError(f"cut kinds must be in {TRACE_CUT_KINDS}, got {set(self.cut_kinds.tolist())}")
+
+    def __len__(self) -> int:
+        return len(self.cut_kinds)
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.cut_kinds != CUT_SEPARATION
+
+    def __getitem__(self, k: int) -> IterationRecord:
+        k = range(len(self))[k]
+        feasible = self.cut_kinds[k] != CUT_SEPARATION
+        estimate = float(self.f_estimates[k]) if feasible else None
+        log_det = None if self.log_dets is None else float(self.log_dets[k])
+        return IterationRecord(k, self.centers[k], feasible, self.cut_kinds[k], estimate, log_det)
 
 
 @dataclass(frozen=True)
@@ -44,46 +66,44 @@ class SolverReport:
 
     best_point: Vector
     best_estimate: float
-    iterations: int
     batch_size: int
-    records: tuple[IterationRecord, ...]
+    records: Trace
     termination: str
-    # exact draw counts: gradient batches, and selection of the returned
-    # point (len(candidates) * batch for every oracle, 0 after an early stop)
-    grad_draws: int = 0
-    eval_draws: int = 0
+    # draws spent selecting the returned point: len(candidates) * batch, 0 after an early stop
+    eval_draws: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    @property
+    def grad_draws(self) -> int:
+        """One gradient batch per row with a feasible center."""
+        return self.batch_size * int(np.count_nonzero(self.records.feasible))
 
 
 def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _record_row(record: IterationRecord) -> list[str]:
-    return [
-        str(record.index),
-        "1" if record.feasible else "0",
-        record.cut_kind,
-        "" if record.f_estimate is None else format_float(record.f_estimate),
-        "" if record.log_det_shape is None else format_float(record.log_det_shape),
-        *(format_float(c) for c in record.center),
-    ]
-
-
 def trace_header(dim: int) -> list[str]:
     return ["k", "feasible", "cut_kind", "f_estimate", "logdet_H"] + [f"c{i}" for i in range(dim)]
 
 
-def render_trace_csv(records) -> str:
-    records = list(records)
-    if not records:
-        raise ValueError("cannot render an empty trace")
+def render_trace_csv(trace: Trace) -> str:
+    feasible = trace.feasible.tolist()
+    # tolist() gives Python floats, whose repr is format_float's; one row of
+    # centers at a time holds fewer of them at once than the whole array
+    estimates = [repr(e) if f else "" for f, e in zip(feasible, trace.f_estimates.tolist())]
+    log_dets = [""] * len(trace) if trace.log_dets is None else map(repr, trace.log_dets.tolist())
+    rows = zip(feasible, trace.cut_kinds.tolist(), estimates, log_dets, trace.centers)
     # no field can need quoting: integers, 0/1, the fixed cut kinds, repr floats, empty cells
-    lines = [",".join(trace_header(records[0].center.shape[0]))]
-    lines.extend(",".join(_record_row(r)) for r in records)
+    lines = [",".join(trace_header(trace.centers.shape[1]))]
+    lines.extend(",".join([str(k), "1" if f else "0", kind, e, d, *map(repr, center.tolist())])
+                 for k, (f, kind, e, d, center) in enumerate(rows))
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(path, records) -> None:
+def write_trace_csv(path, trace: Trace) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_trace_csv(records))
-
+        fh.write(render_trace_csv(trace))

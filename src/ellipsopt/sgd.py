@@ -21,7 +21,7 @@ import numpy as np
 from ._rng import SEED_LIMIT
 from .geometry import FeasibleSet
 from .oracles import SELECTION_STEP, BatchSpec, StochasticGradOracle, estimate_values
-from .reporting import CUT_SGD, TERMINATION_BUDGET, IterationRecord, SolverReport
+from .reporting import CUT_SGD, TERMINATION_BUDGET, SolverReport, Trace
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,24 @@ def sgd_run(
     thetas = np.tile(feasible_set.project(feasible_set.bounding_ball.center), (len(alphas), 1))
     batch = BatchSpec(size=config.batch_size, seed=config.seed)
 
-    records: list[list[IterationRecord]] = [[] for _ in alphas]
+    # each entry's centers are one C-contiguous (N, n) slice of this block
+    centers = np.empty((len(alphas), config.iterations, n))
+    f_estimates = np.empty((len(alphas), config.iterations))
     for k in range(config.iterations):
-        gradients, values = oracle.batch_mean(thetas, batch.seed, k, batch.size)
-        for entry, theta, value in zip(records, thetas, values.tolist()):
-            entry.append(IterationRecord(k, theta, True, CUT_SGD, value, None))
+        gradients, f_estimates[:, k] = oracle.batch_mean(thetas, batch.seed, k, batch.size)
+        centers[:, k] = thetas
         thetas = feasible_set.project(thetas - alphas * gradients)
 
+    kinds = np.full(config.iterations, CUT_SGD, dtype=object)
     estimates = estimate_values(oracle, thetas, batch, step=SELECTION_STEP)
     return [
         SolverReport(
             best_point=theta,
             best_estimate=estimate,
-            iterations=config.iterations,
             batch_size=config.batch_size,
-            records=tuple(entry),
+            records=Trace(path, kinds, values, None),
             termination=TERMINATION_BUDGET,
-            grad_draws=config.iterations * config.batch_size,
             eval_draws=config.batch_size,
         )
-        for entry, theta, estimate in zip(records, thetas, estimates.tolist())
+        for theta, estimate, path, values in zip(thetas, estimates.tolist(), centers, f_estimates)
     ]

@@ -48,8 +48,8 @@ from .reporting import (
     TERMINATION_CERTIFIED,
     TERMINATION_DEGENERATE,
     TERMINATION_ZERO_GRAD,
-    IterationRecord,
     SolverReport,
+    Trace,
 )
 
 # range probe: feasible points sampled, draws per point, and the factor the
@@ -204,23 +204,16 @@ def resolve_plan(
 
 
 def _select_candidates(
-    candidates: list[tuple[int, Vector]],
-    oracle: StochasticGradOracle,
-    batch: BatchSpec,
-) -> tuple[int, Vector, float, int]:
-    """Pick the (index, point) candidate with the lowest estimated objective.
-
-    All candidates are scored on one fresh common-random-numbers batch (an
-    exact oracle gives exact values); ties go to the lowest index. Returns
-    (index, point, value, draws), with draws = len(candidates) * batch.size.
-    """
-    if not candidates:
+    candidates: np.ndarray, oracle: StochasticGradOracle, batch: BatchSpec
+) -> tuple[Vector, float, int]:
+    """The row of a (k, n) candidate block with the lowest estimate on one fresh
+    common-random-numbers batch (exact values for an exact oracle); ties, and NaN
+    estimates, go to the earliest row. Returns (point, value, k * batch.size)."""
+    if not len(candidates):
         raise NoFeasiblePointError("no feasible center was visited")
-    points = np.vstack([point for _, point in candidates])
-    values = estimate_values(oracle, points, batch, step=SELECTION_STEP)
-    best = int(np.lexsort((np.array([index for index, _ in candidates]), values))[0])
-    index, point = candidates[best]
-    return index, point, float(values[best]), len(candidates) * batch.size
+    values = estimate_values(oracle, candidates, batch, step=SELECTION_STEP)
+    best = int(np.argsort(values, kind="stable")[0])
+    return candidates[best], float(values[best]), len(candidates) * batch.size
 
 
 def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig) -> SolverReport:
@@ -234,36 +227,34 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
-        raise ValueError(
-            f"oracle dimension {oracle.dimension} does not match the set's {n}"
-        )
+        raise ValueError(f"oracle dimension {oracle.dimension} does not match the set's {n}")
     plan = resolve_plan(oracle, feasible_set, config)
     batch = BatchSpec(size=plan.batch_size, seed=config.seed)
     ball = feasible_set.bounding_ball
     ellipsoid = Ellipsoid(ball.center, ball.radius * ball.radius * np.eye(n))
 
-    records: list[IterationRecord] = []
+    centers = np.empty((plan.iterations + 1, n))
+    kinds = np.empty(plan.iterations, dtype=object)
+    estimates = np.full(plan.iterations, np.nan)
+    log_dets = np.empty(plan.iterations)
     termination = TERMINATION_BUDGET
-    grad_draws = 0
+    rows = 0
 
     for k in range(plan.iterations):
-        center = ellipsoid.center
-        feasible = feasible_set.contains(center)
-        log_det = ellipsoid.log_det_shape()
-        if feasible:
-            cut, estimate = minibatch_gradient(oracle, center, batch, step=k)
-            grad_draws += plan.batch_size
+        center = centers[k] = ellipsoid.center
+        log_dets[k] = ellipsoid.log_det_shape()
+        if feasible_set.contains(center):
+            cut, estimates[k] = minibatch_gradient(oracle, center, batch, step=k)
             if float(np.linalg.norm(cut)) <= plan.zero_tol:
-                kind, termination = CUT_ZERO_GRAD, TERMINATION_ZERO_GRAD
+                kinds[k], termination = CUT_ZERO_GRAD, TERMINATION_ZERO_GRAD
             else:
-                kind = CUT_SUBGRADIENT
+                kinds[k] = CUT_SUBGRADIENT
                 if oracle.is_exact and linear_optimality_gap(feasible_set, center, cut) <= config.eps:
                     termination = TERMINATION_CERTIFIED
         else:
             cut = feasible_set.separation_hyperplane(center)
-            estimate = None
-            kind = CUT_SEPARATION
-        records.append(IterationRecord(k, center, feasible, kind, estimate, log_det))
+            kinds[k] = CUT_SEPARATION
+        rows = k + 1
         if termination != TERMINATION_BUDGET:
             break
         try:
@@ -272,24 +263,20 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             termination = TERMINATION_DEGENERATE
             break
 
+    trace = Trace(centers[:rows], kinds[:rows], estimates[:rows], log_dets[:rows])
     if termination in (TERMINATION_ZERO_GRAD, TERMINATION_CERTIFIED):
         # an early stop returns its own center
-        point, estimate = records[-1].center, records[-1].f_estimate
-        eval_draws = 0
+        point, estimate, eval_draws = centers[rows - 1], float(estimates[rows - 1]), 0
     else:
-        candidates = [(r.index, r.center) for r in records if r.feasible]
-        final_center = ellipsoid.center
-        if feasible_set.contains(final_center):
-            # the last update's center competes too, even without an oracle call
-            candidates.append((len(records), final_center))
-        _, point, estimate, eval_draws = _select_candidates(candidates, oracle, batch)
+        # the last update's center (the spare row of centers) competes too, without an oracle call
+        centers[rows] = ellipsoid.center
+        feasible = np.append(trace.feasible, feasible_set.contains(ellipsoid.center))
+        point, estimate, eval_draws = _select_candidates(centers[: rows + 1][feasible], oracle, batch)
     return SolverReport(
         best_point=point,
         best_estimate=estimate,
-        iterations=len(records),
         batch_size=plan.batch_size,
-        records=tuple(records),
+        records=trace,
         termination=termination,
-        grad_draws=grad_draws,
         eval_draws=eval_draws,
     )

@@ -96,6 +96,14 @@ class TestSolve:
         assert main(["solve", "--csv", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_a_zero_step_budget_writes_a_header_only_trace(self, tmp_path, capsys):
+        # at eps=50 the derived budget is 0 iterations: the start center is returned
+        args = ["solve", "--m", "2000", "--n", "3", "--eps", "50", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert "iterations=0 " in capsys.readouterr().out
+        trace = (tmp_path / "trace.csv").read_text(encoding="utf-8")
+        assert trace == "k,feasible,cut_kind,f_estimate,logdet_H,c0,c1,c2\n"
+
     def test_missing_csv_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert main(["solve", "--csv", str(missing), "--out-dir", str(tmp_path)]) == 2
@@ -176,6 +184,15 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "2**64" in err
+        assert not (tmp_path / "bench").exists()
+
+    def test_a_zero_step_budget_exits_2_without_artifacts(self, tmp_path, capsys):
+        # at eps=50 the derived budget is 0 iterations, so no run has a test curve
+        args = ["bench", "--m", "2000", "--n", "3", "--eps", "50", "--out-dir", str(tmp_path / "bench")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 0:") and err.count("\n") == 1
+        assert "budget" in err and "is 0" in err and "max_iters" in err
         assert not (tmp_path / "bench").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):

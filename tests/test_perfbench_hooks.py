@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from ellipsopt import _rng
+from ellipsopt.geometry import Box
 from ellipsopt.oracles import GaussianOracle
+from ellipsopt.problems import LinearProblem
+from ellipsopt.reporting import CUT_SEPARATION, write_trace_csv
+from ellipsopt.sgd import SgdConfig, sgd_run
+from ellipsopt.solver import SolverConfig, solve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,11 +30,12 @@ def hook_modules():
     try:
         layers = importlib.import_module("layers")
         clock = importlib.import_module("clock")
+        workloads = importlib.import_module("workloads")
     finally:
         sys.path[:] = saved_path
         sys.dont_write_bytecode = saved_flag
-    yield layers, clock
-    for name in ("layers", "clock", "spans"):
+    yield layers, clock, workloads
+    for name in ("layers", "clock", "spans", "workloads"):
         sys.modules.pop(name, None)
 
 
@@ -44,7 +50,7 @@ def _resolve(module: str, attr: str):
 
 
 def test_every_traced_target_resolves(hook_modules):
-    layers, clock = hook_modules
+    layers, clock, _ = hook_modules
     targets = layers.TARGETS + clock.TARGETS
     assert targets
     for target in targets:
@@ -63,7 +69,7 @@ def test_recorded_module_attributes_resolve():
 def test_a_split_gaussian_draw_records_one_span_per_traced_call(hook_modules, monkeypatch):
     # the tracer keeps one span stack and is not thread-safe: the threads that
     # fill parts of a split draw must call no traced function
-    layers, _ = hook_modules
+    layers, _, _ = hook_modules
     monkeypatch.setattr(_rng, "_CPUS", 4)
     oracle = GaussianOracle(lambda x: (float(x @ x), 2.0 * x), 2, sigma=0.25)
     tracer = sys.modules["spans"].Tracer(layers.TARGETS)
@@ -81,3 +87,47 @@ def test_a_split_gaussian_draw_records_one_span_per_traced_call(hook_modules, mo
     assert names.count("call") == 1
     assert all(s.parent in ids for s in tracer.spans if s.name != "call")
     assert all(s.run == "call0" for s in tracer.spans)
+
+
+def _reports():
+    """A cut run with separation and subgradient rows, and one SGD entry."""
+    box = Box.centered(2, 1.0)
+    problem = LinearProblem(np.array([-1.0, -2.0]), box)
+    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
+    cut = solve(oracle, box, SolverConfig(eps=1e-4, sigma=0.0, seed=1))
+    [sgd] = sgd_run(oracle, box, SgdConfig((0.1,), iterations=30, batch_size=4))
+    return {"solve": cut, "sgd": sgd}
+
+
+@pytest.mark.parametrize("solver", ["solve", "sgd"])
+def test_the_report_reads_of_the_workloads_hold(hook_modules, solver, tmp_path):
+    # the reads perfbench/workloads.py and layers.py make of a report
+    layers, _, workloads = hook_modules
+    report = _reports()[solver]
+    records = report.records
+    kinds = [r.cut_kind for r in records]
+    assert len(kinds) == len(records) == report.iterations > 0
+    assert workloads._separation_frac([report]) == kinds.count(CUT_SEPARATION) / len(kinds)
+    assert (0 < kinds.count(CUT_SEPARATION) < len(kinds)) == (solver == "solve")
+    assert report.grad_draws == report.batch_size * (len(kinds) - kinds.count(CUT_SEPARATION))
+    assert np.array_equal(records[-1].center, records.centers[len(records) - 1])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, records)
+    counts = layers._trace_csv_counts((path, records), {}, None)
+    assert counts["rows"] == len(records) == len(path.read_text(encoding="utf-8").splitlines()) - 1
+
+
+@pytest.mark.parametrize("solver", ["solve", "sgd"])
+def test_the_row_view_reads_each_column(solver):
+    records = _reports()[solver].records
+    for k, r in enumerate(records):
+        assert r.index == k
+        assert r.feasible == (r.cut_kind != CUT_SEPARATION)
+        assert (r.f_estimate is None) == (r.cut_kind == CUT_SEPARATION)
+        assert (r.log_det_shape is None) == (solver == "sgd")
+        assert np.array_equal(r.center, records.centers[k])
+    assert (records[-1].index, records[-len(records)].index) == (len(records) - 1, 0)
+    with pytest.raises(IndexError):
+        records[len(records)]
+    with pytest.raises(IndexError):
+        records[-len(records) - 1]

@@ -123,6 +123,9 @@ def test_each_gaussian_sweep_entry_equals_its_own_run_bit_for_bit():
     reports = sgd_run(oracle, ball, SgdConfig(SWEEP, iterations=60, batch_size=8, seed=3))
     assert len(reports) == len(SWEEP)
     for alpha, report in zip(SWEEP, reports):
+        # each entry's centers are a C-contiguous (N, n) block, the layout the
+        # full-data passes of the test curves were pinned with
+        assert report.records.centers.shape == (60, 3) and report.records.centers.flags.c_contiguous
         [alone] = sgd_run(oracle, ball, SgdConfig((alpha,), iterations=60, batch_size=8, seed=3))
         _same_run(report, alone)
 

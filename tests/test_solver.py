@@ -206,14 +206,20 @@ def test_selection_prefers_lowest_estimate_then_lowest_index():
     ball = Ball(np.zeros(2), 2.0)
     problem = QuadraticProblem(np.array([1.0, 0.0]), ball)
     exact = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
-    candidates = [(2, np.array([1.0, 0.0])), (0, np.zeros(2)), (1, np.array([1.0, 0.0]))]
-    idx, point, value, draws = _select_candidates(candidates, exact, BatchSpec(size=1, seed=0))
-    assert (idx, value, draws) == (1, 0.0, 3)
+    # candidates come in increasing iteration order, so row i is index i
+    candidates = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    point, value, draws = _select_candidates(candidates, exact, BatchSpec(size=1, seed=0))
+    assert (value, draws) == (0.0, 3)
+    assert np.shares_memory(point, candidates[1])
+    # equal exact values at different points: the earlier row wins the tie
+    ties = np.array([[0.0, 0.0], [1.0, 0.5], [1.0, -0.5]])
+    point, value, _ = _select_candidates(ties, exact, BatchSpec(size=1, seed=0))
+    assert value == 0.25 and np.array_equal(point, [1.0, 0.5])
     # every oracle re-estimates every candidate on one shared batch: equal
     # points get equal estimates, and the lower index wins the tie
     noisy = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.5)
-    idx, point, value, draws = _select_candidates(candidates, noisy, BatchSpec(size=64, seed=0))
-    assert idx == 1
+    point, value, draws = _select_candidates(candidates, noisy, BatchSpec(size=64, seed=0))
+    assert np.shares_memory(point, candidates[1])
     assert np.array_equal(point, [1.0, 0.0])
     assert draws == 3 * 64
 
