@@ -36,7 +36,8 @@ _ARMIJO_SHRINK = 0.5
 _ARMIJO_MAX_SHRINKS = 30
 # ``_mean_losses`` takes its matrix product in row blocks of at most this
 # many elements (32 MB), its peak memory, and runs the loss passes over row
-# blocks of about _LOSS_BLOCK_ELEMENTS (512 KB), which stay in L2 between passes
+# blocks of about _LOSS_BLOCK_ELEMENTS (512 KB), which stay in L2 between
+# passes; ``generate_synthetic`` and ``fitted_sigma`` build in such row blocks
 _PRODUCT_BLOCK_ELEMENTS = 2**22
 _LOSS_BLOCK_ELEMENTS = 2**16
 
@@ -61,7 +62,8 @@ class Dataset:
             raise ValueError("features must be a non-empty 2-D array")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be one value per row of features")
-        if not np.all(np.isfinite(X)):
+        # min and max propagate NaN and reach any infinity, without an (m, n) mask
+        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise ValueError("features must be finite")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be 0 or 1")
@@ -228,8 +230,26 @@ class LogisticProblem:
         inflated quantile comfortably satisfies E exp(||.||^2/sigma^2) <= e on
         non-degenerate data.
         """
-        grads = (0.5 - self.dataset.labels)[:, None] * self.dataset.features
-        deviations = np.linalg.norm(grads - grads.mean(axis=0), axis=1)
+        X, y = self.dataset.features, self.dataset.labels
+        m, n = X.shape
+        rows = max(1, _LOSS_BLOCK_ELEMENTS // n)
+        buffer = np.zeros((min(rows, m) + 1, n))
+
+        def gradients(lo: int) -> np.ndarray:
+            """g_i = (0.5 - y_i) x_i of the row block from ``lo``, in buffer[1:]."""
+            block = slice(lo, lo + rows)
+            return np.multiply((0.5 - y[block])[:, None], X[block], out=buffer[1 : 1 + min(rows, m - lo)])
+
+        # row 0 carries the running sum, so each column adds its rows in
+        # numpy's sequential axis-0 order: the bits of the whole matrix's mean
+        for lo in range(0, m, rows):
+            buffer[0] = buffer[: 1 + gradients(lo).shape[0]].sum(axis=0)
+        mean = buffer[0] / m
+        # a row's norm reduces along that contiguous row alone, whatever the block
+        deviations = np.empty(m)
+        for lo in range(0, m, rows):
+            grads = gradients(lo)
+            deviations[lo : lo + rows] = np.linalg.norm(np.subtract(grads, mean, out=grads), axis=1)
         scale = float(np.quantile(deviations, _SIGMA_QUANTILE)) * _SIGMA_SAFETY
         if scale <= 0.0:
             raise ValueError("degenerate dataset: all per-sample gradients coincide")
@@ -300,9 +320,14 @@ def generate_synthetic(m: int, n: int, seed: int = 0, intercept: bool = True) ->
         raise ValueError("m must be at least 1")
     rng = _rng.generator(seed, _rng.DATA_STREAM)
     gaussian_cols = n - 1 if intercept else n
-    X = rng.standard_normal((m, gaussian_cols))
+    # the Generator draws normals in sequence, so row blocks drawn in order
+    # give the bits of one (m, gaussian_cols) draw without a second matrix
+    X = np.empty((m, n))
+    rows = max(1, _LOSS_BLOCK_ELEMENTS // n)
+    for lo in range(0, m, rows):
+        X[lo : lo + rows, :gaussian_cols] = rng.standard_normal((min(rows, m - lo), gaussian_cols))
     if intercept:
-        X = np.hstack([X, np.ones((m, 1))])
+        X[:, -1] = 1.0
     direction = rng.standard_normal(n)
     true_weights = direction * (_SYNTH_WEIGHT_NORM / float(np.linalg.norm(direction)))
     probs = expit(X @ true_weights)

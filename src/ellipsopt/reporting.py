@@ -26,6 +26,9 @@ TERMINATION_ZERO_GRAD = "zero-gradient"
 TERMINATION_DEGENERATE = "degenerate"
 TERMINATION_CERTIFIED = "certified"
 
+# rows of a trace rendered at a time: about 1 MB of CSV text at n=55
+_CHUNK_ROWS = 1024
+
 
 # one row of a Trace, as Trace.__getitem__ reads it for perfbench/workloads.py
 IterationRecord = namedtuple("IterationRecord", "index center feasible cut_kind f_estimate log_det_shape")
@@ -90,20 +93,31 @@ def trace_header(dim: int) -> list[str]:
     return ["k", "feasible", "cut_kind", "f_estimate", "logdet_H"] + [f"c{i}" for i in range(dim)]
 
 
+def _trace_chunks(trace: Trace):
+    """The trace's CSV text in pieces of up to ``_CHUNK_ROWS`` rows, the header
+    in the first, so a piece's Python values are all that exist at once."""
+    head = ",".join(trace_header(trace.centers.shape[1])) + "\n"
+    # a zero-row trace still yields its header
+    for lo in range(0, max(len(trace), 1), _CHUNK_ROWS):
+        part = slice(lo, lo + _CHUNK_ROWS)
+        kinds = trace.cut_kinds[part].tolist()
+        feasible = [kind != CUT_SEPARATION for kind in kinds]
+        # tolist() gives Python floats, whose repr is format_float's
+        estimates = [repr(e) if f else "" for f, e in zip(feasible, trace.f_estimates[part].tolist())]
+        log_dets = [""] * len(kinds) if trace.log_dets is None else map(repr, trace.log_dets[part].tolist())
+        rows = zip(feasible, kinds, estimates, log_dets, trace.centers[part].tolist())
+        # no field can need quoting: integers, 0/1, the fixed cut kinds, repr floats, empty cells
+        yield head + "".join(",".join([str(k), "1" if f else "0", kind, e, d, *map(repr, center)]) + "\n"
+                             for k, (f, kind, e, d, center) in enumerate(rows, start=lo))
+        head = ""
+
+
 def render_trace_csv(trace: Trace) -> str:
-    feasible = trace.feasible.tolist()
-    # tolist() gives Python floats, whose repr is format_float's; one row of
-    # centers at a time holds fewer of them at once than the whole array
-    estimates = [repr(e) if f else "" for f, e in zip(feasible, trace.f_estimates.tolist())]
-    log_dets = [""] * len(trace) if trace.log_dets is None else map(repr, trace.log_dets.tolist())
-    rows = zip(feasible, trace.cut_kinds.tolist(), estimates, log_dets, trace.centers)
-    # no field can need quoting: integers, 0/1, the fixed cut kinds, repr floats, empty cells
-    lines = [",".join(trace_header(trace.centers.shape[1]))]
-    lines.extend(",".join([str(k), "1" if f else "0", kind, e, d, *map(repr, center.tolist())])
-                 for k, (f, kind, e, d, center) in enumerate(rows))
-    return "\n".join(lines) + "\n"
+    return "".join(_trace_chunks(trace))
 
 
 def write_trace_csv(path, trace: Trace) -> None:
+    """Write ``render_trace_csv(trace)`` one piece at a time: a trace of at
+    most ``_CHUNK_ROWS`` rows is one write."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_trace_csv(trace))
+        fh.writelines(_trace_chunks(trace))

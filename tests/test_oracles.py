@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,7 +304,7 @@ def test_blocks_hold_two_to_the_cap_points(monkeypatch):
         assert sum(widths) == k and min(widths) >= 2 and max(widths) <= 3
 
 
-def test_estimate_values_memory_stays_bounded_by_the_block_size():
+def test_estimate_values_memory_stays_bounded_by_the_block_size(peak_bytes):
     ds, _ = generate_synthetic(300, 3, seed=1)
     logistic = LogisticOracle(ds.features, ds.labels)
     batch = BatchSpec(size=4096, seed=0)
@@ -313,13 +312,7 @@ def test_estimate_values_memory_stays_bounded_by_the_block_size():
     points = np.zeros((8192, 3))
     # one unblocked (batch x points) float64 value matrix alone exceeds the bound
     assert batch.size * points.shape[0] * 8 > bound
-    tracemalloc.start()
-    try:
-        estimate_values(logistic, points, batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    assert peak_bytes(lambda: estimate_values(logistic, points, batch)) <= bound
 
 
 # bytes of one (21888, 2) float64 block: theorem2-n2's noise at its theory batch
@@ -331,15 +324,9 @@ _NOISE_BLOCK_BYTES = 8 * 21888 * 2
     lambda: GaussianOracle(quad_value_grad, 2, sigma=0.25).batch_mean(
         np.array([0.1, -0.2]), 3, 4, 21888),
 ], ids=["standard_normals", "gaussian_batch_mean"])
-def test_a_gaussian_draw_peaks_at_two_noise_blocks(draw):
+def test_a_gaussian_draw_peaks_at_two_noise_blocks(draw, peak_bytes):
     draw()  # the key table is cached, not part of a draw
-    tracemalloc.start()
-    try:
-        draw()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * _NOISE_BLOCK_BYTES + 64 * 1024
+    assert peak_bytes(draw) <= 2 * _NOISE_BLOCK_BYTES + 64 * 1024
 
 
 def test_perturbed_oracle_offset_norm_and_exact_values():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +71,9 @@ class TestDataset:
             Dataset(features=np.zeros((0, 2)), labels=np.zeros(0))
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((3, 2)), labels=np.zeros(2))
-        with pytest.raises(ValueError):
-            Dataset(features=np.array([[np.inf, 0.0]]), labels=np.zeros(1))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Dataset(features=np.array([[1.0, 0.0], [-2.0, bad]]), labels=np.zeros(2))
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((2, 2)), labels=np.array([0.0, 0.5]))
 
@@ -209,39 +209,24 @@ class TestBlockedLossPasses:
         reference = _one_pass_losses(P @ Xb.T, yb).mean(axis=1)
         assert np.array_equal(oracle.value_means_crn(P, 5, 3, count), reference)
 
-    def test_objective_many_peaks_below_the_one_pass_version(self):
+    def test_objective_many_peaks_below_the_one_pass_version(self, peak_bytes):
         problem = LogisticProblem(generate_synthetic(10000, 55, seed=3)[0])
         W = _spread_weights(512, 55, seed=4)
         X, y = problem.dataset.features, problem.dataset.labels
-
-        def peak_bytes(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         blocked = peak_bytes(lambda: problem.objective_many(W))
         one_pass = peak_bytes(lambda: _one_pass_losses(X @ W.T, y[:, None]).mean(axis=0))
         # one (256, 10000) product block against the whole product, its losses
         # and a temporary
         assert blocked < one_pass / 2
 
-    def test_objective_many_peaks_near_one_product_block(self):
+    def test_objective_many_peaks_near_one_product_block(self, peak_bytes):
         problem = LogisticProblem(generate_synthetic(10000, 3, seed=2)[0])
         W = _spread_weights(1200, 3, seed=5)
         # one product block in float64, and half a block for everything else
         bound = 3 * problems._PRODUCT_BLOCK_ELEMENTS * 8 // 2
         # the whole (1200, 10000) float64 product alone exceeds the bound
         assert W.shape[0] * problem.dataset.size * 8 > bound
-        tracemalloc.start()
-        try:
-            problem.objective_many(W)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert peak_bytes(lambda: problem.objective_many(W)) <= bound
 
 
 class TestLogisticOracle:
@@ -300,7 +285,39 @@ def test_sample_oracle_replays_and_draws_real_rows():
             )
 
 
+def _row_block_edges(n):
+    """Row counts below, at and above the first and second row-block edges
+    of ``_LOSS_BLOCK_ELEMENTS // n`` rows."""
+    b = problems._LOSS_BLOCK_ELEMENTS // n
+    return [b - 1, b, b + 1, 2 * b + 1]
+
+
+def _one_pass_sigma(X, y):
+    """fitted_sigma's formula over the whole (m, n) gradient matrix at once."""
+    G = (0.5 - y)[:, None] * X
+    return float(np.quantile(np.linalg.norm(G - G.mean(axis=0), axis=1), 0.99)) * 1.5
+
+
 class TestFitSubgaussianSigma:
+    @pytest.mark.parametrize("n", [2, 10, 55])
+    def test_equals_the_one_pass_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for m in _row_block_edges(n):
+            # columns of very different scales and offsets, so the order of
+            # the column sums shows in their last bits
+            X = rng.standard_normal((m, n)) * rng.uniform(0.01, 100.0, n) + rng.uniform(-50.0, 50.0, n)
+            y = (rng.random(m) < 0.3).astype(np.float64)
+            assert LogisticProblem(Dataset(X, y)).fitted_sigma == _one_pass_sigma(X, y)
+
+    def test_peaks_well_under_one_dataset(self, peak_bytes):
+        m = 20000
+        problem = LogisticProblem(generate_synthetic(m, 55, seed=6)[0])
+        # a gradient block, the norm's temporaries of one block, and the
+        # deviations with the quantile's copy of them
+        bound = 3 * problems._LOSS_BLOCK_ELEMENTS * 8 + 2 * m * 8
+        assert bound < problem.dataset.features.nbytes / 4
+        assert peak_bytes(lambda: problem.fitted_sigma) <= bound
+
     def test_scales_linearly_with_features(self):
         dataset, _ = generate_synthetic(300, 4, seed=1)
         base = LogisticProblem(dataset).fitted_sigma
@@ -315,7 +332,46 @@ class TestFitSubgaussianSigma:
             LogisticProblem(ds).fitted_sigma
 
 
+def _one_shot_synthetic(m, n, seed, intercept):
+    """generate_synthetic's draws as one (m, gaussian columns) matrix joined
+    to its intercept column: the reference for the row-blocked build."""
+    rng = _rng.generator(seed, _rng.DATA_STREAM)
+    X = rng.standard_normal((m, n - 1 if intercept else n))
+    if intercept:
+        X = np.hstack([X, np.ones((m, 1))])
+    direction = rng.standard_normal(n)
+    true_weights = direction * (2.0 / float(np.linalg.norm(direction)))
+    probs = expit(X @ true_weights)
+    for _ in range(8):
+        labels = (rng.random(m) < probs).astype(np.float64)
+        if 0.0 < labels.mean() < 1.0:
+            break
+    return X, labels, true_weights
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("n", [3, 55])
+    def test_row_blocks_give_the_one_shot_bits(self, n, intercept):
+        for m in _row_block_edges(n):
+            dataset, true_weights = generate_synthetic(m, n, seed=m, intercept=intercept)
+            X, labels, reference_weights = _one_shot_synthetic(m, n, m, intercept)
+            assert np.array_equal(dataset.features, X)
+            assert np.array_equal(dataset.labels, labels)
+            assert np.array_equal(true_weights, reference_weights)
+
+    def test_peaks_at_one_block_and_the_label_vectors_above_the_features(self, peak_bytes):
+        m, n = 20000, 55
+        generate_synthetic(10, n)  # the generator's first use is not part of a build
+        built = []
+        peak = peak_bytes(lambda: built.append(generate_synthetic(m, n, seed=3)))
+        # one block of normals, then at most four (m,) vectors at once: the
+        # probabilities, a uniform draw, its labels and the previous draw's
+        bound = built[0][0].features.nbytes + problems._LOSS_BLOCK_ELEMENTS * 8 + 4 * m * 8
+        # the one-shot build holds a second copy of the features
+        assert 2 * built[0][0].features.nbytes > bound
+        assert peak <= bound
+
     def test_shapes_intercept_and_label_range(self):
         dataset, true_w = generate_synthetic(200, 6, seed=0)
         assert dataset.features.shape == (200, 6)

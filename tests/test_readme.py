@@ -26,4 +26,4 @@ def test_readme_entry_points_resolve():
         for name in set(re.findall(r"`(\w+)`", body)) - {"validate"}:
             assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"
             checked += 1
-    assert modules == 7 and checked >= 20
+    assert modules == 8 and checked >= 20

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipsopt import reporting
 from ellipsopt.reporting import (
     CUT_SEPARATION,
     CUT_SGD,
@@ -172,3 +173,50 @@ def test_render_writes_the_csv_module_bytes():
     text = render_trace_csv(every_kind)
     assert all(v in text for v in ("-0.0", "nan", "inf", "5e-324"))
     assert all(kind in text for kind in TRACE_CUT_KINDS)
+
+
+def _record_writes(monkeypatch):
+    """The lengths of the writes each file that write_trace_csv opens takes."""
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(len(text)) or write(text)
+        return fh
+
+    monkeypatch.setattr(reporting, "open", recording_open, raising=False)
+    return writes
+
+
+@pytest.mark.parametrize("log_dets", [True, False])
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 6, 7])
+def test_writes_the_rendered_bytes_in_pieces_of_the_chunk_rows(tmp_path, monkeypatch, rows, log_dets):
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", 3)
+    if rows:
+        trace = _trace(*(_row(center=(0.1 * i, -1.0 / (i + 3)), kind=(CUT_SUBGRADIENT, CUT_SEPARATION)[i % 2],
+                              estimate=0.5 * i, logdet=-0.25 * i) for i in range(rows)), log_dets=log_dets)
+    else:
+        trace = Trace(np.empty((0, 2)), np.empty(0, dtype=object), np.empty(0), np.empty(0) if log_dets else None)
+    writes = _record_writes(monkeypatch)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    text = path.read_text(encoding="utf-8")
+    assert text == _csv_module_render(trace) == render_trace_csv(trace)
+    # the header rides with the first rows; a trace of one chunk or fewer is one write
+    assert len(writes) == max(1, -(-rows // 3))
+    assert sum(writes) == len(text)
+
+
+def test_writing_a_long_trace_peaks_at_a_bound_set_by_the_chunk_rows(tmp_path, peak_bytes):
+    rows, n = 20000, 55
+    rng = np.random.default_rng(0)
+    trace = Trace(rng.standard_normal((rows, n)), np.full(rows, CUT_SUBGRADIENT, dtype=object),
+                  rng.standard_normal(rows), rng.standard_normal(rows))
+    path = tmp_path / "trace.csv"
+    # one chunk's text, its lines and its centers as Python floats; the bound
+    # does not grow with the rows, and the whole file is several times larger
+    bound = 128 * reporting._CHUNK_ROWS * n
+    peak = peak_bytes(lambda: write_trace_csv(path, trace))
+    assert path.stat().st_size > 2 * bound
+    assert peak <= bound
