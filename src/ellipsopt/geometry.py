@@ -100,18 +100,16 @@ def ellipsoid_step(ellipsoid: Ellipsoid, cut) -> Ellipsoid:
     """Minimum-volume ellipsoid containing { x in E : <cut, x - center> <= 0 }.
 
     Raises DegenerateEllipsoidError when the cut direction has (numerically)
-    zero extent in E, i.e. w^T H w vanishes against the scale of H.
+    zero extent in E, i.e. w^T H w vanishes against the scale of H; a zero
+    cut has none.
     """
     c = ellipsoid.center
     H = ellipsoid.shape
     n = c.shape[0]
     w = _as_vector(cut, n)
-    wnorm2 = float(w @ w)
-    if wnorm2 == 0.0:
-        raise ValueError("cut vector must be nonzero")
     hw = H @ w
     s = float(w @ hw)
-    if s <= _DEGENERACY_RTOL * wnorm2 * float(np.trace(H)) / n:
+    if s <= _DEGENERACY_RTOL * float(w @ w) * float(np.trace(H)) / n:
         raise DegenerateEllipsoidError(
             f"cut direction has no extent: w^T H w = {s:.3e} under tolerance"
         )

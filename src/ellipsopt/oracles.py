@@ -103,13 +103,14 @@ class StochasticGradOracle(ABC):
 
 def minibatch_gradient(
     oracle: StochasticGradOracle, x, batch: BatchSpec, step: int = 0
-) -> tuple[Vector, float]:
-    """Mean gradient and mean value of ``batch.size`` oracle draws at x.
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Mean gradient and mean value of ``batch.size`` oracle draws at a finite
+    point x (n,), or (k, n) mean gradients and (k,) mean values at the rows
+    of a block (k, n), every row from the same draws: ``oracle.batch_mean``'s pair.
 
     The result is a pure function of (x, batch.seed, batch.size, step).
     """
-    gradient, value = oracle.batch_mean(_as_vector(x, oracle.dimension), batch.seed, step, batch.size)
-    return gradient, float(value)
+    return oracle.batch_mean(_as_points(x, oracle.dimension), batch.seed, step, batch.size)
 
 
 def estimate_values(

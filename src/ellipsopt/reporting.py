@@ -16,15 +16,13 @@ from .geometry import Vector
 
 CUT_SUBGRADIENT = "subgradient"
 CUT_SEPARATION = "separation"
-CUT_ZERO_GRAD = "zero-grad-exit"
 CUT_SGD = "sgd-step"
 
-TRACE_CUT_KINDS = (CUT_SUBGRADIENT, CUT_SEPARATION, CUT_ZERO_GRAD, CUT_SGD)
+TRACE_CUT_KINDS = (CUT_SUBGRADIENT, CUT_SEPARATION, CUT_SGD)
 
 TERMINATION_BUDGET = "budget"
-TERMINATION_ZERO_GRAD = "zero-gradient"
-TERMINATION_DEGENERATE = "degenerate"
 TERMINATION_CERTIFIED = "certified"
+TERMINATION_DEGENERATE = "degenerate"
 
 # rows of a trace rendered at a time: about 1 MB of CSV text at n=55
 _CHUNK_ROWS = 1024
@@ -72,7 +70,7 @@ class SolverReport:
     batch_size: int
     records: Trace
     termination: str
-    # draws spent selecting the returned point: len(candidates) * batch, 0 after an early stop
+    # draws spent selecting the returned point: len(candidates) * batch, 0 after a certified stop
     eval_draws: int
 
     @property

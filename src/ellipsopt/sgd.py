@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import SEED_LIMIT
 from .geometry import FeasibleSet
-from .oracles import SELECTION_STEP, BatchSpec, StochasticGradOracle, estimate_values
+from .oracles import SELECTION_STEP, BatchSpec, StochasticGradOracle, estimate_values, minibatch_gradient
 from .reporting import CUT_SGD, TERMINATION_BUDGET, SolverReport, Trace
 
 
@@ -76,7 +76,7 @@ def sgd_run(
     centers = np.empty((len(alphas), config.iterations, n))
     f_estimates = np.empty((len(alphas), config.iterations))
     for k in range(config.iterations):
-        gradients, f_estimates[:, k] = oracle.batch_mean(thetas, batch.seed, k, batch.size)
+        gradients, f_estimates[:, k] = minibatch_gradient(oracle, thetas, batch, step=k)
         centers[:, k] = thetas
         thetas = feasible_set.project(thetas - alphas * gradients)
 

@@ -2,11 +2,12 @@
 
 The run starts from the feasible set's bounding ball and repeatedly halves an
 ellipsoid: at a feasible center it cuts along a minibatch gradient estimate,
-at an infeasible center along a separation hyperplane. After the budget is
-spent, every feasible center (including the one produced by the final update)
-competes in a fresh shared-noise evaluation and the best one is returned. An
-early stop returns its own center: on a zero gradient, or, for an exact
-oracle only, on a center whose exact-gradient gap bound is at most eps.
+at an infeasible center along a separation hyperplane. When the budget is
+spent, or a cut has no extent in the ellipsoid (a zero batch gradient has
+none), every feasible center (including the one produced by the final update)
+competes in a fresh shared-noise evaluation and the best one is returned. For
+an exact oracle only, a center whose exact-gradient gap bound is at most eps
+ends the run and is returned as it is.
 
 For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
@@ -43,11 +44,9 @@ from .oracles import (
 from .reporting import (
     CUT_SEPARATION,
     CUT_SUBGRADIENT,
-    CUT_ZERO_GRAD,
     TERMINATION_BUDGET,
     TERMINATION_CERTIFIED,
     TERMINATION_DEGENERATE,
-    TERMINATION_ZERO_GRAD,
     SolverReport,
     Trace,
 )
@@ -57,9 +56,6 @@ from .reporting import (
 _PROBE_POINTS = 100
 _PROBE_BATCH = 64
 _PROBE_SAFETY = 2.0
-
-# a batch gradient shorter than this fraction of B / D ends the run
-_ZERO_GRAD_RTOL = 1e-12
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -113,7 +109,6 @@ class Plan:
     batch_size: int
     # the batch size the guarantee asks for; None when it exceeds 2^53
     theory_batch_size: int | None
-    zero_tol: float
 
 
 def iteration_budget(dim: int, diameter: float, value_range: float, inner_radius: float, eps: float) -> int:
@@ -170,7 +165,7 @@ def estimate_value_range(
 def resolve_plan(
     oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig
 ) -> Plan:
-    """B, N, the batch size and the zero-gradient tolerance of one run.
+    """B, N and the batch size of one run.
 
     Fields given in the config win. Otherwise B comes from the seeded range
     probe, N from ``iteration_budget`` and the batch size from
@@ -199,7 +194,6 @@ def resolve_plan(
         iterations=iterations,
         batch_size=config.batch_size if config.batch_size is not None else theory_batch,
         theory_batch_size=theory_batch,
-        zero_tol=_ZERO_GRAD_RTOL * value_range / diameter,
     )
 
 
@@ -245,12 +239,9 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
         log_dets[k] = ellipsoid.log_det_shape()
         if feasible_set.contains(center):
             cut, estimates[k] = minibatch_gradient(oracle, center, batch, step=k)
-            if float(np.linalg.norm(cut)) <= plan.zero_tol:
-                kinds[k], termination = CUT_ZERO_GRAD, TERMINATION_ZERO_GRAD
-            else:
-                kinds[k] = CUT_SUBGRADIENT
-                if oracle.is_exact and linear_optimality_gap(feasible_set, center, cut) <= config.eps:
-                    termination = TERMINATION_CERTIFIED
+            kinds[k] = CUT_SUBGRADIENT
+            if oracle.is_exact and linear_optimality_gap(feasible_set, center, cut) <= config.eps:
+                termination = TERMINATION_CERTIFIED
         else:
             cut = feasible_set.separation_hyperplane(center)
             kinds[k] = CUT_SEPARATION
@@ -264,8 +255,8 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             break
 
     trace = Trace(centers[:rows], kinds[:rows], estimates[:rows], log_dets[:rows])
-    if termination in (TERMINATION_ZERO_GRAD, TERMINATION_CERTIFIED):
-        # an early stop returns its own center
+    if termination == TERMINATION_CERTIFIED:
+        # a certified center is returned as it is
         point, estimate, eval_draws = centers[rows - 1], float(estimates[rows - 1]), 0
     else:
         # the last update's center (the spare row of centers) competes too, without an oracle call

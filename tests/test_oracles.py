@@ -94,6 +94,18 @@ def test_gaussian_oracle_replay_and_mean_convergence():
     assert err < 5.0 * 1.0 / math.sqrt(4096)
 
 
+def test_minibatch_gradient_passes_a_block_to_the_oracle_and_rejects_a_non_finite_row():
+    oracle = GaussianOracle(quad_value_grad, 2, sigma=1.0)
+    block = np.array([[1.0, -0.5], [0.25, 0.75]])
+    batch = BatchSpec(size=64, seed=3)
+    gradients, values = minibatch_gradient(oracle, block, batch, step=5)
+    expected_gradients, expected_values = oracle.batch_mean(block, batch.seed, 5, batch.size)
+    assert gradients.shape == (2, 2) and values.shape == (2,)
+    assert _hex(gradients.ravel()) == _hex(expected_gradients.ravel()) and _hex(values) == _hex(expected_values)
+    with pytest.raises(ValueError, match="finite"):
+        minibatch_gradient(oracle, np.array([[1.0, -0.5], [np.nan, 0.0]]), batch)
+
+
 def test_gaussian_oracle_noise_is_subgaussian():
     # E exp(||noise||^2 / sigma^2) <= e, estimated over many draws
     sigma = 0.7

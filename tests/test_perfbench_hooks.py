@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellipsopt import _rng
+from ellipsopt import _rng, sgd
 from ellipsopt.geometry import Box
 from ellipsopt.oracles import GaussianOracle
 from ellipsopt.problems import LinearProblem
@@ -87,6 +87,23 @@ def test_a_split_gaussian_draw_records_one_span_per_traced_call(hook_modules, mo
     assert names.count("call") == 1
     assert all(s.parent in ids for s in tracer.spans if s.name != "call")
     assert all(s.run == "call0" for s in tracer.spans)
+
+
+def test_every_lockstep_sgd_step_counts_as_one_step(hook_modules):
+    layers, _, _ = hook_modules
+    box = Box.centered(2, 1.0)
+    oracle = GaussianOracle(LinearProblem(np.array([-1.0, -2.0]), box).objective_and_gradient, 2, sigma=0.5)
+    tracer = sys.modules["spans"].Tracer(layers.TARGETS)
+    tracer.install()
+    try:
+        with tracer.region("call", "call0"):
+            # through the module attribute, which the tracer rebinds
+            sgd.sgd_run(oracle, box, SgdConfig((0.01, 0.1, 1.0), iterations=17, batch_size=4))
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    metrics = layers.per_layer_metrics(tracer.spans, ["sgd.sgd_run.steps"], 0.0, 0.0)
+    assert metrics["sgd.sgd_run.steps"] == 17
 
 
 def _reports():

@@ -4,6 +4,8 @@ import importlib
 import re
 from pathlib import Path
 
+from ellipsopt import reporting
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -27,3 +29,14 @@ def test_readme_entry_points_resolve():
             assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"
             checked += 1
     assert modules == 8 and checked >= 20
+
+
+def test_readme_names_every_cut_kind_and_termination():
+    text = README.read_text(encoding="utf-8")
+    formats = text.split("## Artifacts and formats", 1)[1]
+    kinds = re.search(r"`cut_kind` is (.*?);", formats, flags=re.DOTALL).group(1)
+    assert tuple(re.findall(r"`([\w-]+)`", kinds)) == reporting.TRACE_CUT_KINDS
+    ways = re.search(r"A cut run ends in one of three ways(.*?)\.", text, flags=re.DOTALL).group(1)
+    terminations = {value for name, value in vars(reporting).items() if name.startswith("TERMINATION_")}
+    assert set(re.findall(r"`(\w+)`", ways)) == terminations
+    assert len(terminations) == 3

@@ -12,7 +12,6 @@ from ellipsopt.reporting import (
     CUT_SEPARATION,
     CUT_SGD,
     CUT_SUBGRADIENT,
-    CUT_ZERO_GRAD,
     TRACE_CUT_KINDS,
     Trace,
     format_float,
@@ -163,7 +162,7 @@ def test_render_writes_the_csv_module_bytes():
     cut_run = _trace(*(_row(center=(0.5 * i, -1.0 / (i + 3), 2.0 ** -i), kind=kind, estimate=0.1 * i,
                             logdet=-0.25 * i)
                        for i, kind in enumerate([CUT_SEPARATION, CUT_SUBGRADIENT, CUT_SEPARATION,
-                                                 CUT_SUBGRADIENT, CUT_ZERO_GRAD])))
+                                                 CUT_SUBGRADIENT, CUT_SUBGRADIENT])))
     sgd_run = _trace(*(_row(center=(odd[i % len(odd)], 1.0 / 7.0, -2.5e-17 * i), kind=CUT_SGD,
                             estimate=odd[(i + 3) % len(odd)]) for i in range(7)), log_dets=False)
     for trace in (every_kind, cut_run, sgd_run):

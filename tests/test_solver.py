@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsopt.geometry import Ball, Box, linear_optimality_gap, shape_det_ratio
-from ellipsopt.oracles import BatchSpec, GaussianOracle, PerturbedOracle
+from ellipsopt.oracles import BatchSpec, GaussianOracle, PerturbedOracle, StochasticGradOracle
 from ellipsopt.problems import LinearProblem, QuadraticProblem
 from ellipsopt.reporting import (
     CUT_SEPARATION,
     TERMINATION_BUDGET,
     TERMINATION_CERTIFIED,
-    TERMINATION_ZERO_GRAD,
+    TERMINATION_DEGENERATE,
 )
 from ellipsopt.solver import (
     NoFeasiblePointError,
@@ -62,8 +62,8 @@ def test_noiseless_quadratic_converges():
     report = solve(oracle, ball, SolverConfig(eps=1e-6, sigma=0.0, seed=0))
     gap = problem.objective(report.best_point) - problem.reference()[1]
     assert gap <= 1e-6
-    # exact gradients may trip the zero-gradient exit before the budget ends
-    assert report.termination in (TERMINATION_BUDGET, TERMINATION_ZERO_GRAD)
+    # exact gradients may certify a center before the budget ends
+    assert report.termination in (TERMINATION_BUDGET, TERMINATION_CERTIFIED)
     assert report.batch_size == 1
 
 
@@ -113,9 +113,34 @@ def test_zero_gradient_exits_early_with_current_center():
     problem = QuadraticProblem(np.zeros(2), ball)  # optimum at the start center
     oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
     report = solve(oracle, ball, SolverConfig(eps=1e-8, sigma=0.0, seed=0))
-    assert report.termination == TERMINATION_ZERO_GRAD
+    # a zero exact gradient is a certificate with gap 0
+    assert report.termination == TERMINATION_CERTIFIED
     assert report.iterations == 1
-    assert np.allclose(report.best_point, np.zeros(2))
+    assert np.array_equal(report.best_point, np.zeros(2))
+
+
+class _ZeroMeanOracle(StochasticGradOracle):
+    """A noisy oracle whose batch means all come out exactly zero."""
+
+    dimension = 2
+
+    def batch_mean(self, x, seed, step, count):
+        return np.zeros_like(x), np.zeros(x.shape[:-1])
+
+    def value_means_crn(self, points, seed, step, count):
+        return np.zeros(len(points))
+
+
+def test_a_zero_batch_mean_ends_degenerate_and_selects_a_feasible_center():
+    # a zero cut has no extent in the ellipsoid, so the first step is degenerate
+    ball = Ball(np.zeros(2), 1.0)
+    config = SolverConfig(sigma=0.5, batch_size=8, max_iterations=50, value_range=1.0)
+    report = solve(_ZeroMeanOracle(), ball, config)
+    assert report.termination == TERMINATION_DEGENERATE
+    assert report.iterations == 1
+    assert ball.contains(report.best_point)
+    # the first center and the unchanged center after the failed step compete
+    assert report.eval_draws == 2 * 8
 
 
 def test_an_exact_oracle_stops_at_an_eps_certificate():
@@ -233,7 +258,6 @@ def test_resolve_plan_derives_what_the_config_leaves_open():
     assert plan.value_range == estimate_value_range(oracle, ball, seed=7)
     assert plan.iterations == iteration_budget(2, 2.0, plan.value_range, 1.0, 0.05)
     assert plan.batch_size == plan.theory_batch_size > 1000
-    assert plan.zero_tol == pytest.approx(1e-12 * plan.value_range / 2.0, rel=1e-15)
     report = solve(oracle, ball, config)
     assert report.batch_size == plan.batch_size
     assert report.iterations <= plan.iterations
