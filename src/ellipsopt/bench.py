@@ -186,8 +186,10 @@ def running_best_test_curve(trace: Trace, test_problem: LogisticProblem) -> np.n
     """Test loss of the point the cut solver would return after each step.
 
     The anytime output is the feasible center with the lowest recorded
-    estimate so far (a separation row's NaN never is). Its test loss is
-    recomputed, as a single-row pass with matrix-vector bits, only when it changes.
+    estimate so far, the earliest on ties (a separation row's NaN never is).
+    That is ``solve``'s own rule, so the last value scores the point an
+    uncertified run returns. Its test loss is recomputed, as a single-row pass
+    with matrix-vector bits, only when it changes.
     """
     best_estimate = math.inf
     current = math.inf

@@ -70,7 +70,7 @@ class SolverReport:
     batch_size: int
     records: Trace
     termination: str
-    # draws spent selecting the returned point: len(candidates) * batch, 0 after a certified stop
+    # value draws spent picking the returned point: 0 for a cut run, one batch for SGD
     eval_draws: int
 
     @property

@@ -4,16 +4,22 @@ The run starts from the feasible set's bounding ball and repeatedly halves an
 ellipsoid: at a feasible center it cuts along a minibatch gradient estimate,
 at an infeasible center along a separation hyperplane. When the budget is
 spent, or a cut has no extent in the ellipsoid (a zero batch gradient has
-none), every feasible center (including the one produced by the final update)
-competes in a fresh shared-noise evaluation and the best one is returned. For
-an exact oracle only, a center whose exact-gradient gap bound is at most eps
-ends the run and is returned as it is.
+none), the feasible center whose batch recorded the lowest value (the
+earliest on ties) is returned. For an exact oracle only, a center whose
+exact-gradient gap bound is at most eps ends the run and is returned.
 
 For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
 the batch size chosen so each gradient estimate is an (eps/2)-subgradient
 with per-call failure probability beta / (2 N). ``resolve_plan`` fixes B, N
 and the batch size before the first step.
+
+For ``GaussianOracle`` a recorded value is f(c_k) + <zeta_k, c_k>, zeta_k the
+batch's noise mean, and those N gradient events bound |zeta_k| by eps / (2D).
+On an origin-centred ball (|c| <= D/2) each value is then within eps/4 of f,
+so the returned center is within eps/2 of the best visited one with no other
+failure event: the slack of re-scoring all centers on one common batch,
+<zeta, c_i - c_j> <= |zeta| D. ``PerturbedOracle`` values are exact.
 """
 
 from __future__ import annotations
@@ -28,13 +34,11 @@ from .geometry import (
     DegenerateEllipsoidError,
     Ellipsoid,
     FeasibleSet,
-    Vector,
     linear_optimality_gap,
     ellipsoid_step,
 )
 from .oracles import (
     RANGE_PROBE_STEP,
-    SELECTION_STEP,
     BatchSpec,
     StochasticGradOracle,
     estimate_values,
@@ -197,27 +201,15 @@ def resolve_plan(
     )
 
 
-def _select_candidates(
-    candidates: np.ndarray, oracle: StochasticGradOracle, batch: BatchSpec
-) -> tuple[Vector, float, int]:
-    """The row of a (k, n) candidate block with the lowest estimate on one fresh
-    common-random-numbers batch (exact values for an exact oracle); ties, and NaN
-    estimates, go to the earliest row. Returns (point, value, k * batch.size)."""
-    if not len(candidates):
-        raise NoFeasiblePointError("no feasible center was visited")
-    values = estimate_values(oracle, candidates, batch, step=SELECTION_STEP)
-    best = int(np.argsort(values, kind="stable")[0])
-    return candidates[best], float(values[best]), len(candidates) * batch.size
-
-
 def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: SolverConfig) -> SolverReport:
-    """Run the cut loop and return the best feasible center found.
+    """Run the cut loop and return the feasible center with the lowest recorded estimate.
 
     The run follows ``resolve_plan(oracle, feasible_set, config)``. The trace
     records every iteration's center, branch, estimate and log det of the
-    ellipsoid shape. When ``oracle.is_exact`` (no other gradient makes the
-    bound sound), the first feasible center whose ``linear_optimality_gap``
-    is at most ``config.eps`` ends the run and is returned.
+    ellipsoid shape, and the answer is read from it with no further draws.
+    When ``oracle.is_exact`` (no other gradient makes the bound sound), the
+    first feasible center whose ``linear_optimality_gap`` is at most
+    ``config.eps`` ends the run and is returned.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
@@ -227,7 +219,7 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
     ball = feasible_set.bounding_ball
     ellipsoid = Ellipsoid(ball.center, ball.radius * ball.radius * np.eye(n))
 
-    centers = np.empty((plan.iterations + 1, n))
+    centers = np.empty((plan.iterations, n))
     kinds = np.empty(plan.iterations, dtype=object)
     estimates = np.full(plan.iterations, np.nan)
     log_dets = np.empty(plan.iterations)
@@ -255,19 +247,21 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             break
 
     trace = Trace(centers[:rows], kinds[:rows], estimates[:rows], log_dets[:rows])
-    if termination == TERMINATION_CERTIFIED:
-        # a certified center is returned as it is
-        point, estimate, eval_draws = centers[rows - 1], float(estimates[rows - 1]), 0
+    if trace.feasible.any():
+        # a certified center is returned as it is; otherwise the earliest row
+        # with the lowest recorded estimate (separation rows are NaN)
+        best = rows - 1 if termination == TERMINATION_CERTIFIED else int(np.nanargmin(trace.f_estimates))
+        point, estimate = centers[best], float(estimates[best])
+    elif rows == 0 and feasible_set.contains(ellipsoid.center):
+        # a zero-step budget estimates nothing and returns the start center
+        point, estimate = ellipsoid.center.copy(), math.nan
     else:
-        # the last update's center (the spare row of centers) competes too, without an oracle call
-        centers[rows] = ellipsoid.center
-        feasible = np.append(trace.feasible, feasible_set.contains(ellipsoid.center))
-        point, estimate, eval_draws = _select_candidates(centers[: rows + 1][feasible], oracle, batch)
+        raise NoFeasiblePointError("no feasible center was visited")
     return SolverReport(
         best_point=point,
         best_estimate=estimate,
         batch_size=plan.batch_size,
         records=trace,
         termination=termination,
-        eval_draws=eval_draws,
+        eval_draws=0,
     )

@@ -305,6 +305,8 @@ class TestRunExperiment:
                     1 for rec in row.report.records if rec.cut_kind == "subgradient"
                 )
                 assert row.oracle_calls == feasible * config.batch_size
+                # the answer is read from the trace, with no value draws
+                assert row.eval_calls == 0
 
     def test_returned_test_loss_scores_the_point_each_solver_returns(self, tmp_path):
         config = _small_config(tmp_path / "out")
@@ -319,6 +321,9 @@ class TestRunExperiment:
             expected = test_problem.objective(row.report.best_point)
             assert row.returned_test_loss == expected
             assert float(line.split(",")[column]) == expected
+        # solve returns the point the cut curve ends on, so the two losses are one number
+        cut = rows[0]
+        assert cut.solver == "ellipsoid" and cut.returned_test_loss == cut.final_test_loss
 
     def test_sweep_rows_share_the_sweep_wall_time_and_match_their_reports(self, tmp_path):
         config = _small_config(tmp_path / "out")
@@ -439,7 +444,7 @@ class TestRunExperiment:
 PINNED_EXPERIMENT_DIGESTS = {
     "ellipsoid-seed0.csv": "8938e41c04055df61199fb5ad1d942a229b9cd8141701689c9980504db342d3f",
     "sgd-seed0.csv": "4ddb33819de32cac43bf4d583a8038dd9769701e0a055acb1c831e9724208ca1",
-    "summary.csv": "4e026fbcd6b811ea61289403ebca20d944c05533f986091d3f12a0c5b4ab9f32",
+    "summary.csv": "f59abe6bfff20bd08b272b22557cb44c2c5ac8ae2d8e8c25d4d2e22208a566e8",
     "manifest.txt": "ae3ecff44deedd3b3821aacbf629d83de96fa4b963c28496d92f9da1925c51df",
 }
 

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from ellipsopt import reporting
+from ellipsopt.bench import BenchConfig, run_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +41,16 @@ def test_readme_names_every_cut_kind_and_termination():
     terminations = {value for name, value in vars(reporting).items() if name.startswith("TERMINATION_")}
     assert set(re.findall(r"`(\w+)`", ways)) == terminations
     assert len(terminations) == 3
+
+
+def test_readme_quotes_the_n10_cut_row_as_it_runs(tmp_path):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    loss, f_star = re.search(r"At m=20000, n=10, seed 0 and 150 iterations, both are ([\d.]+), "
+                             r"against f\* = ([\d.]+)\.", text).groups()
+    outcome = run_experiment(BenchConfig(m=20000, n=10, seeds=(0,), max_iters=150, out_dir=str(tmp_path)))
+    seed = outcome.seed_outcomes[0]
+    (cut,) = [row for row in seed.rows if row.solver == "ellipsoid"]
+    # "both" is the cut row's final and returned test loss, each to the printed digits
+    digits = len(loss.split(".")[1])
+    assert f"{cut.final_test_loss:.{digits}f}" == f"{cut.returned_test_loss:.{digits}f}" == loss
+    assert f"{seed.f_star_test:.{len(f_star.split('.')[1])}f}" == f_star

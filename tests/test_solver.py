@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsopt.geometry import Ball, Box, linear_optimality_gap, shape_det_ratio
-from ellipsopt.oracles import BatchSpec, GaussianOracle, PerturbedOracle, StochasticGradOracle
+from ellipsopt.oracles import GaussianOracle, PerturbedOracle, StochasticGradOracle
 from ellipsopt.problems import LinearProblem, QuadraticProblem
 from ellipsopt.reporting import (
     CUT_SEPARATION,
@@ -17,7 +17,6 @@ from ellipsopt.reporting import (
 from ellipsopt.solver import (
     NoFeasiblePointError,
     SolverConfig,
-    _select_candidates,
     estimate_value_range,
     iteration_budget,
     resolve_plan,
@@ -138,9 +137,52 @@ def test_a_zero_batch_mean_ends_degenerate_and_selects_a_feasible_center():
     report = solve(_ZeroMeanOracle(), ball, config)
     assert report.termination == TERMINATION_DEGENERATE
     assert report.iterations == 1
-    assert ball.contains(report.best_point)
-    # the first center and the unchanged center after the failed step compete
-    assert report.eval_draws == 2 * 8
+    # the one recorded center is returned, with no value draws
+    assert np.array_equal(report.best_point, report.records.centers[0])
+    assert (report.best_estimate, report.eval_draws) == (0.0, 0)
+
+
+class _ScriptedOracle(StochasticGradOracle):
+    """A noisy oracle that records VALUES[k] at step k, whatever the point;
+    re-scoring points on a fresh batch would find them all equal."""
+
+    dimension = 2
+    VALUES = (3.0, -9.0, 1.0, 2.0, 1.0, 4.0)
+
+    def batch_mean(self, x, seed, step, count):
+        return np.array([1.0, 0.5]), self.VALUES[step]
+
+    def value_means_crn(self, points, seed, step, count):
+        return np.zeros(len(points))
+
+
+class _SecondCenterOutside(Ball):
+    """A ball whose second membership query says no."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.queries = 0
+
+    def contains(self, x):
+        self.queries += 1
+        return self.queries != 2
+
+    def separation_hyperplane(self, x):
+        return np.array([0.0, 1.0])
+
+
+def test_solve_returns_the_earliest_center_with_the_lowest_recorded_estimate():
+    feasible_set = _SecondCenterOutside(np.zeros(2), 1.0)
+    config = SolverConfig(sigma=0.5, batch_size=8, max_iterations=6, value_range=1.0)
+    report = solve(_ScriptedOracle(), feasible_set, config)
+    assert report.termination == TERMINATION_BUDGET
+    # row 1 is a separation row: its NaN never wins, whatever the oracle would say
+    assert report.records.cut_kinds[1] == CUT_SEPARATION
+    # rows 2 and 4 tie at 1.0, and the earlier one is returned
+    assert np.array_equal(report.records.f_estimates, [3.0, np.nan, 1.0, 2.0, 1.0, 4.0], equal_nan=True)
+    assert np.array_equal(report.best_point, report.records.centers[2])
+    assert not np.array_equal(report.best_point, report.records.centers[4])
+    assert (report.best_estimate, report.eval_draws) == (1.0, 0)
 
 
 def test_an_exact_oracle_stops_at_an_eps_certificate():
@@ -201,19 +243,21 @@ def test_every_certified_exact_run_is_within_eps(make_set):
     assert certified >= 20
 
 
-def test_max_iterations_zero_budget_raises_no_feasible():
-    # a budget of 0 leaves no visited centers; the terminal center is the
-    # ball's center which is feasible, so selection still succeeds
-    ball = Ball(np.zeros(2), 1.0)
+def test_a_zero_step_budget_returns_the_start_center():
+    # eps at D B / rho asks for no step: nothing is estimated or drawn
+    ball = Ball(np.array([0.2, -0.1]), 1.0)
     problem = QuadraticProblem(np.array([0.1, 0.1]), ball)
-    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
-    report = solve(oracle, ball, SolverConfig(sigma=0.0, max_iterations=1, seed=0))
-    assert report.iterations == 1
+    oracle = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.5)
+    report = solve(oracle, ball, SolverConfig(eps=2.0, sigma=0.5, value_range=1.0, seed=0))
+    assert report.iterations == 0 and report.grad_draws == 0
+    assert np.array_equal(report.best_point, ball.center)
+    assert not np.shares_memory(report.best_point, ball.center)
+    assert math.isnan(report.best_estimate) and report.eval_draws == 0
 
 
 def test_best_point_selection_requires_feasible_records():
-    # a set no center ever lies in: every step is a separation cut, and the
-    # final center is infeasible too, so nothing can be returned
+    # a set no center ever lies in: every step is a separation cut, so
+    # nothing can be returned, and neither can an infeasible start center
     class Unreachable(Ball):
         def contains(self, x):
             return False
@@ -222,31 +266,10 @@ def test_best_point_selection_requires_feasible_records():
             return np.array([1.0, 0.0])
 
     oracle = GaussianOracle(lambda x: (0.0, np.zeros(2)), 2, sigma=0.0)
-    config = SolverConfig(sigma=0.0, max_iterations=3, value_range=1.0)
-    with pytest.raises(NoFeasiblePointError):
-        solve(oracle, Unreachable(np.zeros(2), 1.0), config)
-
-
-def test_selection_prefers_lowest_estimate_then_lowest_index():
-    ball = Ball(np.zeros(2), 2.0)
-    problem = QuadraticProblem(np.array([1.0, 0.0]), ball)
-    exact = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.0)
-    # candidates come in increasing iteration order, so row i is index i
-    candidates = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    point, value, draws = _select_candidates(candidates, exact, BatchSpec(size=1, seed=0))
-    assert (value, draws) == (0.0, 3)
-    assert np.shares_memory(point, candidates[1])
-    # equal exact values at different points: the earlier row wins the tie
-    ties = np.array([[0.0, 0.0], [1.0, 0.5], [1.0, -0.5]])
-    point, value, _ = _select_candidates(ties, exact, BatchSpec(size=1, seed=0))
-    assert value == 0.25 and np.array_equal(point, [1.0, 0.5])
-    # every oracle re-estimates every candidate on one shared batch: equal
-    # points get equal estimates, and the lower index wins the tie
-    noisy = GaussianOracle(problem.objective_and_gradient, 2, sigma=0.5)
-    point, value, draws = _select_candidates(candidates, noisy, BatchSpec(size=64, seed=0))
-    assert np.shares_memory(point, candidates[1])
-    assert np.array_equal(point, [1.0, 0.0])
-    assert draws == 3 * 64
+    for config in (SolverConfig(sigma=0.0, max_iterations=3, value_range=1.0),
+                   SolverConfig(eps=2.0, sigma=0.0, value_range=1.0)):
+        with pytest.raises(NoFeasiblePointError):
+            solve(oracle, Unreachable(np.zeros(2), 1.0), config)
 
 
 def test_resolve_plan_derives_what_the_config_leaves_open():

@@ -100,9 +100,9 @@ def test_run_suite_forwards_keyword_arguments():
 # them. They move only when a change to the normals, the noise mean or the
 # solver is meant to.
 PINNED_THEOREM2_DIGESTS = [
-    "43ac48b8db6c3d66d145fca751247463a7679cbb7f61f66bcc77175e37a017bd",
-    "8f05b1a925666c75a970674f598c333f6f4fff5b41396e68bd75e0137087b93c",
-    "a54fbbef3f3c35cf29028551d9dd18efe2f9f748eaed41a6bcf54f6d9640c331",
+    "4aaecf6cee3ff1993d8bd57123f88cd5d70848e8e1435d40dcf6766bac040a71",
+    "2bac5de8b2b5741ec99a95bd7b5662fa371ee32373eae394f8bf81d732a54601",
+    "68f62ce75b1f4a3492929850c1e2eb410c40ad70d327f4352f7b65c57674c7f2",
 ]
 
 
