@@ -7,7 +7,9 @@ streams, so the coordinates need no hashing. Element ``l`` of a
 ``dims``-wide draw reads the 64-bit words ``[l * dims, (l + 1) * dims)`` of
 its substream, so a shorter draw is a prefix of a longer one. Normals come
 from the inverse CDF of uniforms strictly inside (0, 1), a fixed consumption
-per element unlike rejection samplers. Philox is counter-based, so any range
+per element unlike rejection samplers. An index on [0, upper) is
+min(floor(u * upper), upper - 1) with u = (word >> 11) * 2**-53, the double
+numpy's ``Generator.random`` makes of a word. Philox is counter-based, so any range
 of a substream's words can be generated on its own: a large normal draw is
 split into word ranges, one per CPU, each drawn and converted on its own
 thread into its slice of one block. Every step works element by element, so
@@ -37,7 +39,6 @@ SEED_LIMIT = 2**64
 _STEP_BITS = 56
 
 _INV_2_52 = 2.0**-52
-_INV_2_53 = 2.0**-53
 
 
 def stream_key(seed: int, stream: int, step: int) -> np.ndarray:
@@ -54,9 +55,10 @@ def stream_key(seed: int, stream: int, step: int) -> np.ndarray:
 
 # one generator per part of a draw, re-keyed for every draw: resetting its
 # state costs a seventh of constructing a Philox. Part 0 runs on the calling
-# thread and its generator also serves the index draws. The package draws
-# from one thread at a time.
+# thread and its generator also serves the index draws, through a Generator
+# wrapped around it. The package draws from one thread at a time.
 _GENERATORS: list[Philox] = [Philox(0)]
+_UNIFORMS = np.random.Generator(_GENERATORS[0])
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # fewest words in a part of a split draw: handing a part to a thread costs ~30 µs
@@ -74,23 +76,29 @@ _POOL = _thread_pool()
 def _after_fork_in_child() -> None:
     # a forked child has none of the parent's threads: the inherited pool would
     # queue parts that no thread runs, and a generator could be left locked
-    global _POOL
+    global _POOL, _UNIFORMS
     _POOL = _thread_pool()
     _GENERATORS[:] = [Philox(0)]
+    _UNIFORMS = np.random.Generator(_GENERATORS[0])
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _raw_words(key: np.ndarray, count: int, first: int = 0, part: int = 0) -> np.ndarray:
-    """The words ``[first, first + count)`` of ``Philox(key=key)``, from the
-    generator of ``part``; ``first`` is a multiple of 4, one Philox block."""
+def _keyed(key: np.ndarray, first: int = 0, part: int = 0) -> Philox:
+    """The generator of ``part``, set to read ``Philox(key=key)`` from word
+    ``first``, a multiple of 4 (one Philox block)."""
     counter = _ZERO_WORDS if first == 0 else np.array([first // 4, 0, 0, 0], dtype=np.uint64)
     philox = _GENERATORS[part]
     philox.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
                     "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return philox.random_raw(count)
+    return philox
+
+
+def _raw_words(key: np.ndarray, count: int, first: int = 0, part: int = 0) -> np.ndarray:
+    """The words ``[first, first + count)`` of ``Philox(key=key)``."""
+    return _keyed(key, first, part).random_raw(count)
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
@@ -147,10 +155,11 @@ def standard_normals(key: np.ndarray, count: int, dims: int) -> np.ndarray:
 
 def uniform_indices(key: np.ndarray, count: int, upper: int) -> np.ndarray:
     """(count,) integers uniform on [0, upper), one per batch element."""
-    raw = _raw_words(key, count)
-    u = (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    idx = (u * upper).astype(np.int64)
-    return np.minimum(idx, upper - 1)
+    _keyed(key)
+    u = _UNIFORMS.random(count)  # (word >> 11) * 2**-53, in one pass
+    u *= upper
+    idx = u.astype(np.int64)
+    return np.minimum(idx, upper - 1, out=idx)
 
 
 def pairwise_mean(rows: np.ndarray) -> np.ndarray:

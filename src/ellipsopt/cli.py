@@ -116,6 +116,7 @@ def _cmd_solve(args) -> int:
     print(f"iterations={report.iterations} batch_size={report.batch_size} "
           f"termination={report.termination}")
     print(f"best_estimate={format_float(report.best_estimate)}")
+    print(f"log_det_drift={format_float(report.log_det_drift)}")
     print("best_point=" + ",".join(format_float(v) for v in report.best_point))
     print(f"trace={trace}")
     return 0

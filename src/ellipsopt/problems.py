@@ -103,10 +103,14 @@ def _losses_into(z: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _mean_loss_and_gradient(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean logistic loss and its gradient over the rows of X, labels y, at a
     point w (n,), or (k,) losses and (k, n) gradients at a (k, n) block. A
-    one-row block takes the matrix-vector path of a point and has its bits."""
+    one-row block takes the matrix-vector path of a point and has its bits.
+    The residual's buffer then holds the losses, and ``z`` becomes y z."""
     z = w @ X.T
-    gradient = (expit(z) - y) @ X / X.shape[0]
-    return np.mean(_softplus(z) - y * z, axis=-1), gradient
+    residual = expit(z)
+    residual -= y
+    gradient = residual @ X
+    gradient /= X.shape[0]
+    return _losses_into(z, y, residual).mean(axis=-1), gradient
 
 
 def _mean_losses(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:

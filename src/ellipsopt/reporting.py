@@ -3,6 +3,8 @@
 Trace files have one row per iteration with the header
 ``k,feasible,cut_kind,f_estimate,logdet_H,c0,...,c{n-1}``. Floats are written
 in shortest round-trip form, so identical runs produce byte-identical files.
+A cut run's ``logdet_H`` is the closed form log det H0 + k log(shape_det_ratio(n));
+the report's ``log_det_drift`` says how far the measured log dets strayed from it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Trace:
     centers: np.ndarray  # (N, n)
     cut_kinds: np.ndarray  # (N,) of TRACE_CUT_KINDS
     f_estimates: np.ndarray  # (N,)
-    log_dets: np.ndarray | None  # (N,) log det of the ellipsoid shape; None for SGD
+    log_dets: np.ndarray | None  # (N,) log det of the ellipsoid shape, in closed form; None for SGD
 
     def __post_init__(self) -> None:
         if not set(self.cut_kinds.tolist()).issubset(TRACE_CUT_KINDS):
@@ -72,6 +74,8 @@ class SolverReport:
     termination: str
     # value draws spent picking the returned point: 0 for a cut run, one batch for SGD
     eval_draws: int
+    # largest |measured - closed-form| log det of the shape over the checks; None for SGD
+    log_det_drift: float | None = None
 
     @property
     def iterations(self) -> int:

@@ -5,8 +5,10 @@ ellipsoid: at a feasible center it cuts along a minibatch gradient estimate,
 at an infeasible center along a separation hyperplane. When the budget is
 spent, or a cut has no extent in the ellipsoid (a zero batch gradient has
 none), the feasible center whose batch recorded the lowest value (the
-earliest on ties) is returned. For an exact oracle only, a center whose
-exact-gradient gap bound is at most eps ends the run and is returned.
+earliest on ties) is returned, projected onto the set: membership admits a
+boundary slack. For an exact oracle only, a center inside the set without
+that slack whose exact-gradient gap bound is at most eps ends the run and is
+returned as it is.
 
 For a target accuracy eps on a set with diameter D, inner radius rho and
 objective range B, ceil(2 n^2 ln(D B / (rho eps))) iterations suffice, with
@@ -20,6 +22,11 @@ On an origin-centred ball (|c| <= D/2) each value is then within eps/4 of f,
 so the returned center is within eps/2 of the best visited one with no other
 failure event: the slack of re-scoring all centers on one common batch,
 <zeta, c_i - c_j> <= |zeta| D. ``PerturbedOracle`` values are exact.
+
+Every cut multiplies det H by shape_det_ratio(n), so the trace's log dets
+are written in closed form. The log det is measured at the start, every
+``_LOG_DET_STRIDE`` steps and at the end, where a lost definiteness raises
+DegenerateEllipsoidError; ``log_det_drift`` is the largest gap measured.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .geometry import (
     FeasibleSet,
     linear_optimality_gap,
     ellipsoid_step,
+    shape_det_ratio,
 )
 from .oracles import (
     RANGE_PROBE_STEP,
@@ -60,6 +68,7 @@ from .reporting import (
 _PROBE_POINTS = 100
 _PROBE_BATCH = 64
 _PROBE_SAFETY = 2.0
+_LOG_DET_STRIDE = 64  # steps between measured log dets
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -206,10 +215,11 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
 
     The run follows ``resolve_plan(oracle, feasible_set, config)``. The trace
     records every iteration's center, branch, estimate and log det of the
-    ellipsoid shape, and the answer is read from it with no further draws.
-    When ``oracle.is_exact`` (no other gradient makes the bound sound), the
-    first feasible center whose ``linear_optimality_gap`` is at most
-    ``config.eps`` ends the run and is returned.
+    ellipsoid shape, and the answer is read from it with no further draws,
+    projected onto the set. When ``oracle.is_exact`` (no other gradient makes
+    the bound sound), the first center that its projection leaves unchanged
+    and whose ``linear_optimality_gap`` is at most ``config.eps`` ends the run
+    and is returned.
     """
     n = feasible_set.dimension
     if oracle.dimension != n:
@@ -222,17 +232,20 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
     centers = np.empty((plan.iterations, n))
     kinds = np.empty(plan.iterations, dtype=object)
     estimates = np.full(plan.iterations, np.nan)
-    log_dets = np.empty(plan.iterations)
     termination = TERMINATION_BUDGET
     rows = 0
+    log_det0, shift = ellipsoid.log_det_shape(), math.log(shape_det_ratio(n))
+    drift = 0.0
 
     for k in range(plan.iterations):
+        if k and k % _LOG_DET_STRIDE == 0:
+            drift = max(drift, abs(ellipsoid.log_det_shape() - (log_det0 + k * shift)))
         center = centers[k] = ellipsoid.center
-        log_dets[k] = ellipsoid.log_det_shape()
         if feasible_set.contains(center):
             cut, estimates[k] = minibatch_gradient(oracle, center, batch, step=k)
             kinds[k] = CUT_SUBGRADIENT
-            if oracle.is_exact and linear_optimality_gap(feasible_set, center, cut) <= config.eps:
+            if (oracle.is_exact and linear_optimality_gap(feasible_set, center, cut) <= config.eps
+                    and np.array_equal(feasible_set.project(center), center)):
                 termination = TERMINATION_CERTIFIED
         else:
             cut = feasible_set.separation_hyperplane(center)
@@ -246,7 +259,10 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
             termination = TERMINATION_DEGENERATE
             break
 
-    trace = Trace(centers[:rows], kinds[:rows], estimates[:rows], log_dets[:rows])
+    # a run that broke off took one step fewer than it has rows
+    steps = rows - (termination != TERMINATION_BUDGET)
+    drift = max(drift, abs(ellipsoid.log_det_shape() - (log_det0 + steps * shift)))
+    trace = Trace(centers[:rows], kinds[:rows], estimates[:rows], log_det0 + np.arange(rows) * shift)
     if trace.feasible.any():
         # a certified center is returned as it is; otherwise the earliest row
         # with the lowest recorded estimate (separation rows are NaN)
@@ -254,14 +270,15 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
         point, estimate = centers[best], float(estimates[best])
     elif rows == 0 and feasible_set.contains(ellipsoid.center):
         # a zero-step budget estimates nothing and returns the start center
-        point, estimate = ellipsoid.center.copy(), math.nan
+        point, estimate = ellipsoid.center, math.nan
     else:
         raise NoFeasiblePointError("no feasible center was visited")
     return SolverReport(
-        best_point=point,
+        best_point=feasible_set.project(point),  # a new array, inside the set without slack
         best_estimate=estimate,
         batch_size=plan.batch_size,
         records=trace,
         termination=termination,
         eval_draws=0,
+        log_det_drift=drift,
     )

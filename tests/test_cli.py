@@ -71,6 +71,9 @@ class TestSolve:
         assert "batch_size=64" in out
         assert "termination=" in out
         assert "best_point=" in out
+        # 40 steps reach no stride check: start and end bound the drift
+        [drift] = [line for line in out.splitlines() if line.startswith("log_det_drift=")]
+        assert 0.0 <= float(drift.partition("=")[2]) < 1e-9
         trace = (tmp_path / "trace.csv").read_text(encoding="utf-8")
         assert trace.splitlines()[0] == "k,feasible,cut_kind,f_estimate,logdet_H,c0,c1,c2"
         assert len(trace.splitlines()) == 41

@@ -106,6 +106,27 @@ def test_every_lockstep_sgd_step_counts_as_one_step(hook_modules):
     assert metrics["sgd.sgd_run.steps"] == 17
 
 
+def test_a_solve_measures_the_log_det_at_its_start_and_end(hook_modules):
+    # the closed form fills the trace, so the traced layer must still see the checks
+    layers, _, _ = hook_modules
+    box = Box.centered(2, 1.0)
+    oracle = GaussianOracle(LinearProblem(np.array([-1.0, -2.0]), box).objective_and_gradient, 2, sigma=0.5)
+    tracer = sys.modules["spans"].Tracer(layers.TARGETS)
+    tracer.install()
+    try:
+        with tracer.region("call", "call0"):
+            solve(oracle, box, SolverConfig(sigma=0.5, batch_size=4, max_iterations=10, value_range=1.0))
+    finally:
+        tracer.uninstall()
+    assert tracer.restored()
+    names = [s.name for s in sorted(tracer.spans, key=lambda s: s.start)]
+    metrics = layers.per_layer_metrics(tracer.spans, ["geometry.Ellipsoid.log_det_shape.calls"], 0.0, 0.0)
+    assert metrics["geometry.Ellipsoid.log_det_shape.calls"] >= 2
+    steps = [i for i, name in enumerate(names) if name in ("oracles.minibatch_gradient", "geometry.ellipsoid_step")]
+    log_dets = [i for i, name in enumerate(names) if name == "geometry.Ellipsoid.log_det_shape"]
+    assert log_dets[0] < steps[0] and log_dets[-1] > steps[-1]
+
+
 def _reports():
     """A cut run with separation and subgradient rows, and one SGD entry."""
     box = Box.centered(2, 1.0)

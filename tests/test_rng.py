@@ -77,6 +77,17 @@ def test_interleaved_draws_each_read_a_fresh_philox():
             assert np.array_equal(_rng.uniform_indices(key, count, upper), expected)
 
 
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 4096, 21888])
+def test_an_index_is_the_scaled_top_53_bits_of_its_word(count):
+    for seed, step in [(0, 0), (7, 1), (2**64 - 1, 2**40 + 5)]:
+        key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
+        u = (_rng._raw_words(key, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        for upper in [1, 2, 37, 50000, 2**31 + 11, 2**53]:
+            expected = np.minimum(np.floor(u * upper).astype(np.int64), upper - 1)
+            idx = _rng.uniform_indices(key, count, upper)
+            assert idx.dtype == np.int64 and np.array_equal(idx, expected), (seed, step, upper)
+
+
 def test_normals_are_deterministic_and_standard():
     key = _rng.stream_key(9, _rng.GRAD_STREAM, 2)
     a = _rng.standard_normals(key, 20000, 2)
@@ -204,9 +215,11 @@ _FORK_CHILD = textwrap.dedent("""
     count = 2 * _rng._MIN_PART_WORDS + 1
     # the parent's pool has run a part before the fork
     parent = _rng.standard_normals(key, count, 1).tobytes()
+    parent_indices = _rng.uniform_indices(key, 4096, 50000).tobytes()
 
     def draw(conn):
         conn.send_bytes(_rng.standard_normals(key, count, 1).tobytes())
+        conn.send_bytes(_rng.uniform_indices(key, 4096, 50000).tobytes())
 
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
@@ -215,6 +228,8 @@ _FORK_CHILD = textwrap.dedent("""
     child.start()
     assert receive.poll(30), "the forked child's split draw did not finish"
     assert receive.recv_bytes() == parent
+    assert receive.poll(30), "the forked child's index draw did not finish"
+    assert receive.recv_bytes() == parent_indices
     child.join(30)
     assert child.exitcode == 0, child.exitcode
     print("same bits")
