@@ -40,7 +40,7 @@ THRESHOLDS = (1e-1, 1e-2, 1e-3)
 SUMMARY_COLUMNS = [
     "solver", "seed", "step_size", "batch_size", "iterations",
     "iters_to_1e-1", "iters_to_1e-2", "iters_to_1e-3",
-    "oracle_calls", "eval_calls", "wall_time_s", "final_test_loss", "returned_test_loss",
+    "oracle_calls", "wall_time_s", "final_test_loss", "returned_test_loss",
 ]
 
 
@@ -124,7 +124,6 @@ class RunRow:
     iterations: int
     crossings: tuple[int | None, int | None, int | None]
     oracle_calls: int
-    eval_calls: int
     wall_time_s: float
     # the curve's last value, and the test loss of the point the solver returns
     final_test_loss: float
@@ -140,7 +139,6 @@ class RunRow:
             str(self.iterations),
             *("" if c is None else str(c) for c in self.crossings),
             str(self.oracle_calls),
-            str(self.eval_calls),
             f"{self.wall_time_s:.3f}",
             format_float(self.final_test_loss),
             format_float(self.returned_test_loss),
@@ -274,7 +272,6 @@ def _run_seed(config: BenchConfig, seed: int) -> SeedOutcome:
                 iterations=report.iterations,
                 crossings=first_crossings(curve, f_star_test),
                 oracle_calls=report.grad_draws,
-                eval_calls=report.eval_draws,
                 wall_time_s=wall,
                 final_test_loss=float(curve[-1]),
                 returned_test_loss=test_problem.objective(report.best_point),

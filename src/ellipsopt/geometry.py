@@ -239,8 +239,8 @@ class Box(FeasibleSet):
         if n <= _CORNER_ENUM_LIMIT:
             corners = itertools.product(*zip(self.lower, self.upper))
             return np.array(list(corners), dtype=np.float64)
-        eye = np.eye(n)
-        return np.vstack([self.support_point(e) for e in eye] + [self.support_point(-e) for e in eye])
+        eye = np.eye(n, dtype=bool)
+        return np.vstack([np.where(eye, self.upper, self.lower), np.where(eye, self.lower, self.upper)])
 
 
 class Ball(FeasibleSet):

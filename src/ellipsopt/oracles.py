@@ -32,9 +32,7 @@ from .geometry import FeasibleSet, Vector, _as_points, _as_vector
 
 _CERTIFICATE_TOL = 1e-9
 
-# reserved steps on the shared-noise evaluation stream: the batch that scores
-# SGD's last iterates, and the batch of the cut solver's range probe
-SELECTION_STEP = 0
+# the evaluation-stream step of the cut solver's range probe
 RANGE_PROBE_STEP = 1
 
 

@@ -65,15 +65,13 @@ class Trace:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """What a run returns: the chosen point and how the run went."""
+    """What a run returns: the chosen point, its recorded estimate (NaN if none, as for SGD), and how the run went."""
 
     best_point: Vector
     best_estimate: float
     batch_size: int
     records: Trace
     termination: str
-    # value draws spent picking the returned point: 0 for a cut run, one batch for SGD
-    eval_draws: int
     # largest |measured - closed-form| log det of the shape over the checks; None for SGD
     log_det_drift: float | None = None
 

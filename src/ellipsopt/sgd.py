@@ -6,9 +6,9 @@ identical sample streams at equal (iteration, batch-element) keys. Every
 entry of a sweep uses the config's seed, so at each step all entries read
 the same batch; ``sgd_run`` advances them together as the rows of one
 (k, n) iterate block, with one oracle call and one projection per step.
-Each step size is constant, and each entry reports its last iterate, all
-of them scored on one fresh batch of ``batch_size`` draws. A one-entry
-sweep is a single run.
+Each step size is constant, and each entry returns its last iterate
+unscored: its ``best_estimate`` is NaN, and the sweep draws no values. A
+one-entry sweep is a single run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import SEED_LIMIT
 from .geometry import FeasibleSet
-from .oracles import SELECTION_STEP, BatchSpec, StochasticGradOracle, estimate_values, minibatch_gradient
+from .oracles import BatchSpec, StochasticGradOracle, minibatch_gradient
 from .reporting import CUT_SGD, TERMINATION_BUDGET, SolverReport, Trace
 
 
@@ -61,7 +61,7 @@ def sgd_run(
     every step size alpha_j of the sweep; one report per step size, in order.
 
     Every entry starts from the bounding ball's center projected onto the
-    set and reports its last iterate. Every iterate is projected, so none
+    set and returns its last iterate. Every iterate is projected, so none
     can leave the set; Ball and Box projections raise ValueError on a
     non-finite step in any entry.
     """
@@ -81,15 +81,13 @@ def sgd_run(
         thetas = feasible_set.project(thetas - alphas * gradients)
 
     kinds = np.full(config.iterations, CUT_SGD, dtype=object)
-    estimates = estimate_values(oracle, thetas, batch, step=SELECTION_STEP)
     return [
         SolverReport(
             best_point=theta,
-            best_estimate=estimate,
+            best_estimate=math.nan,
             batch_size=config.batch_size,
             records=Trace(path, kinds, values, None),
             termination=TERMINATION_BUDGET,
-            eval_draws=config.batch_size,
         )
-        for theta, estimate, path, values in zip(thetas, estimates.tolist(), centers, f_estimates)
+        for theta, path, values in zip(thetas, centers, f_estimates)
     ]

@@ -279,6 +279,5 @@ def solve(oracle: StochasticGradOracle, feasible_set: FeasibleSet, config: Solve
         batch_size=plan.batch_size,
         records=trace,
         termination=termination,
-        eval_draws=0,
         log_det_drift=drift,
     )

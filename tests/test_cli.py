@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ellipsopt
+from ellipsopt import cli
 from ellipsopt.bench import BenchConfig, solver_config
 from ellipsopt.cli import _bench_config, build_parser, main
 from ellipsopt.problems import LogisticProblem, generate_synthetic, load_dataset_csv
@@ -338,3 +339,16 @@ def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path):
     assert run.stderr.startswith("error: out of memory")
     assert run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+def test_a_memory_error_in_the_solve_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # the same exit in process, without relying on an address-space limit
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the draw buffer")
+
+    monkeypatch.setattr(cli, "solve", out_of_memory)
+    assert main(["solve", "--m", "200", "--n", "3", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: cannot allocate the draw buffer")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -140,6 +140,15 @@ class TestBox:
         box = Box.centered(2, 1.5)
         assert np.allclose(box.support_point(np.array([1.0, -2.0])), [1.5, -1.5])
 
+    def test_a_box_above_the_enumeration_limit_gives_2n_distinct_corners(self):
+        n = 13
+        box = Box(-np.arange(1.0, n + 1), np.arange(1.0, n + 1) ** 2)
+        corners = box.extreme_points()
+        assert corners.shape == (2 * n, n)
+        assert len(np.unique(corners, axis=0)) == 2 * n
+        # every coordinate of every point is one of that coordinate's two bounds
+        assert np.all((corners == box.lower) | (corners == box.upper))
+
 
 class TestBall:
     def test_projection_and_separation(self):

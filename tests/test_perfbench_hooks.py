@@ -102,8 +102,11 @@ def test_every_lockstep_sgd_step_counts_as_one_step(hook_modules):
     finally:
         tracer.uninstall()
     assert tracer.restored()
-    metrics = layers.per_layer_metrics(tracer.spans, ["sgd.sgd_run.steps"], 0.0, 0.0)
+    metrics = layers.per_layer_metrics(
+        tracer.spans, ["sgd.sgd_run.steps", "oracles.estimate_values.points"], 0.0, 0.0)
     assert metrics["sgd.sgd_run.steps"] == 17
+    # the sweep returns its last iterates unscored: no value draw at any point
+    assert metrics["oracles.estimate_values.points"] == 0
 
 
 def test_a_solve_measures_the_log_det_at_its_start_and_end(hook_modules):

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 from ellipsopt import reporting
-from ellipsopt.bench import BenchConfig, run_experiment
+from ellipsopt.bench import SUMMARY_COLUMNS, BenchConfig, run_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,3 +54,9 @@ def test_readme_quotes_the_n10_cut_row_as_it_runs(tmp_path):
     digits = len(loss.split(".")[1])
     assert f"{cut.final_test_loss:.{digits}f}" == f"{cut.returned_test_loss:.{digits}f}" == loss
     assert f"{seed.f_star_test:.{len(f_star.split('.')[1])}f}" == f_star
+
+
+def test_readme_quotes_the_summary_header():
+    formats = README.read_text(encoding="utf-8").split("## Artifacts and formats", 1)[1]
+    header = re.search(r"`summary\.csv`.*?under the header\s+`([^`]+)`", formats, flags=re.DOTALL).group(1)
+    assert header == ",".join(SUMMARY_COLUMNS)
