@@ -362,18 +362,21 @@ _RETIRED_KEYS = {
 
 
 def read_key_value_file(path) -> dict[str, str]:
-    """Parse a flat key=value file; '#' starts a comment, blanks skipped."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a flat key=value file: '#' starts a comment, blanks are skipped,
+    a key appears once, and a leading UTF-8 byte-order mark is read past."""
+    seen: dict[str, tuple[int, str]] = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not (sep and key):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key][0]}")
+            seen[key] = lineno, value
+    return {key: value for key, (_, value) in seen.items()}
 
 
 def config_from_mapping(mapping: dict[str, str]) -> BenchConfig:

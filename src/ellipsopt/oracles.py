@@ -7,16 +7,18 @@ satisfies E exp(||noise||^2 / sigma^2) <= e. A vector within eta of an exact
 gradient is a delta-subgradient with delta = eta * D over a set of diameter
 D, which is what lets noisy means drive cut steps.
 
-A minibatch mean is one ``batch_mean`` call on counter-keyed streams, so
-it is a pure function of the point, the seed, the step and the batch size.
-It takes one point (n,) or a block of points (k, n); every row of a block
-reads the same draws, so one call serves a whole SGD step-size sweep. The
-logistic oracle reduces its gathered rows in one matrix product; the
-Gaussian oracle returns the exact answer plus terms in the pairwise column
-means of its (count, n) noise block, which are zero at sigma = 0. Both are
-fixed for a fixed shape, and a one-row block has the bits of the point. The
-perturbed oracle averages nothing, so it and a zero-sigma Gaussian oracle
-return exact values at every batch size.
+An oracle samples one thing, ``batch_mean``: the mean gradient and value of
+a batch on a counter-keyed substream, a pure function of the point, the
+seed, the stream, the step and the batch size. ``minibatch_gradient`` reads
+the gradient stream, ``estimate_values`` the value half on the evaluation
+stream. It takes one point (n,) or a block of points (k, n) whose rows all
+read the same draws, so one call serves an SGD step-size sweep or the range
+probe's points. The logistic oracle reduces its gathered rows in one matrix
+product; the Gaussian oracle returns the exact answer plus terms in the
+pairwise column means of its (count, n) noise block, which are zero at
+sigma = 0. Both are fixed for a fixed shape, and a one-row block has the
+bits of the point. The perturbed oracle averages nothing, so it and a
+zero-sigma Gaussian oracle return exact values at every batch size.
 """
 
 from __future__ import annotations
@@ -82,21 +84,14 @@ class StochasticGradOracle(ABC):
         return False
 
     @abstractmethod
-    def batch_mean(self, x, seed: int, step: int, count: int) -> tuple[Vector, float]:
+    def batch_mean(self, x, seed: int, stream: int, step: int, count: int) -> tuple[Vector, float]:
         """Mean gradient (n,) and mean value of the first ``count`` draws of
-        the stream keyed (seed, step) at a point x (n,).
+        the substream (seed, stream, step) at a point x (n,).
 
         At a (k, n) block x it returns (k, n) mean gradients and (k,) mean
-        values, every row from the same draws; a one-row block gives the
-        bits of its row passed alone."""
-
-    @abstractmethod
-    def value_means_crn(self, points: np.ndarray, seed: int, step: int, count: int) -> np.ndarray:
-        """(k,) mean of ``count`` value draws at each of k points, all points
-        sharing one noise realization per draw (common random numbers).
-
-        Any k is accepted: an oracle whose means pass through a
-        (count, k) temporary bounds its size itself."""
+        values, every row from the same draws (common random numbers): the
+        range probe relies on it to compare its points' values. A one-row
+        block gives the bits of its row passed alone."""
 
 
 def minibatch_gradient(
@@ -108,18 +103,19 @@ def minibatch_gradient(
 
     The result is a pure function of (x, batch.seed, batch.size, step).
     """
-    return oracle.batch_mean(_as_points(x, oracle.dimension), batch.seed, step, batch.size)
+    return oracle.batch_mean(_as_points(x, oracle.dimension), batch.seed, _rng.GRAD_STREAM, step, batch.size)
 
 
 def estimate_values(
     oracle: StochasticGradOracle, points: np.ndarray, batch: BatchSpec, step: int = 0
 ) -> np.ndarray:
-    """Estimated objective at a finite point (n,) or at each row of a block
-    (k, n), all from one shared batch. All points see the same noise
-    realizations (common random numbers), so estimate differences cancel
-    most of the noise when points are close."""
+    """(k,) estimated objective at a finite point (n,) (k = 1) or at each
+    row of a block (k, n): the value half of ``oracle.batch_mean`` on the
+    evaluation stream. All points see the same noise realizations (common
+    random numbers), so estimate differences cancel most of the noise when
+    points are close. The gradient half is computed and dropped."""
     pts = np.atleast_2d(_as_points(points, oracle.dimension))
-    return oracle.value_means_crn(pts, batch.seed, step, batch.size)
+    return oracle.batch_mean(pts, batch.seed, _rng.EVAL_STREAM, step, batch.size)[1]
 
 
 def _as_value(value) -> float:
@@ -136,11 +132,6 @@ def _exact_answers(value_grad, x: np.ndarray, dim: int):
         return np.array([value for value, _ in answers]), np.array([grad for _, grad in answers])
     value, grad = value_grad(x)
     return _as_value(value), _as_vector(grad, dim)
-
-
-def _exact_values(value_grad, points: np.ndarray) -> np.ndarray:
-    """(k,) values f(p) at the rows of a block, without their gradients."""
-    return np.array([_as_value(value_grad(p)[0]) for p in points])
 
 
 def _concentration_constant(beta: float) -> float:
@@ -270,18 +261,12 @@ class GaussianOracle(StochasticGradOracle):
         noise = self._noise(seed, _rng.GRAD_STREAM, step, count)
         return grad + noise, value + noise @ x
 
-    def batch_mean(self, x, seed, step, count):
+    def batch_mean(self, x, seed, stream, step, count):
         value, grad = _exact_answers(self._value_grad, x, self._dim)
-        zeta = _rng.pairwise_mean(self._noise(seed, _rng.GRAD_STREAM, step, count))
+        zeta = _rng.pairwise_mean(self._noise(seed, stream, step, count))
         # one dot product per row: each row gets the bits of zeta @ row in
         # any block, where a matrix product rounds by the block's height
         return grad + zeta, value + np.vecdot(x, zeta)
-
-    def value_means_crn(self, points, seed, step, count):
-        values = _exact_values(self._value_grad, points)
-        zeta = _rng.pairwise_mean(self._noise(seed, _rng.EVAL_STREAM, step, count))
-        # a row sum, unlike a matrix product, gives a point the same bits in any block
-        return values + (points * zeta).sum(axis=1)
 
 
 class PerturbedOracle(StochasticGradOracle):
@@ -310,14 +295,11 @@ class PerturbedOracle(StochasticGradOracle):
     def is_exact(self) -> bool:
         return self.offset_norm == 0.0
 
-    def offset(self, seed: int, step: int) -> np.ndarray:
-        key = _rng.stream_key(seed, _rng.GRAD_STREAM, step)
+    def offset(self, seed: int, stream: int, step: int) -> np.ndarray:
+        key = _rng.stream_key(seed, stream, step)
         direction = _rng.standard_normals(key, 1, self._dim)[0]
         return direction * (self.offset_norm / float(np.linalg.norm(direction)))
 
-    def batch_mean(self, x, seed, step, count):
+    def batch_mean(self, x, seed, stream, step, count):
         value, grad = _exact_answers(self._value_grad, x, self._dim)
-        return grad + self.offset(seed, step), value
-
-    def value_means_crn(self, points, seed, step, count):
-        return _exact_values(self._value_grad, points)
+        return grad + self.offset(seed, stream, step), value

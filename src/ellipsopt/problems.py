@@ -144,8 +144,9 @@ def _mean_losses(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
 class LogisticOracle(StochasticGradOracle):
     """One draw = the loss/gradient of a uniformly sampled dataset row.
 
-    The batch means run the full-data objective's kernels on the gathered
-    rows, without the per-draw arrays of ``draw_block`` and ``value_block_crn``.
+    The batch means run the full-data objective's kernel on the gathered
+    rows. ``draw_block`` and ``value_block_crn`` build the per-draw arrays
+    of the gradient and value streams: the references for both halves.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
@@ -154,7 +155,7 @@ class LogisticOracle(StochasticGradOracle):
         if data.width < 2:
             raise ValueError("oracle dimension must be >= 2")
 
-    def _rows(self, seed: int, step: int, stream: int, count: int):
+    def _rows(self, seed: int, stream: int, step: int, count: int):
         key = _rng.stream_key(seed, stream, step)
         idx = _rng.uniform_indices(key, count, self._X.shape[0])
         return self._X.take(idx, axis=0), self._y.take(idx)
@@ -164,23 +165,20 @@ class LogisticOracle(StochasticGradOracle):
         return self._X.shape[1]
 
     def draw_block(self, x, seed, step, count):
-        Xb, yb = self._rows(seed, step, _rng.GRAD_STREAM, count)
+        Xb, yb = self._rows(seed, _rng.GRAD_STREAM, step, count)
         z = Xb @ x
         values = _softplus(z) - yb * z
         grads = (expit(z) - yb)[:, None] * Xb
         return grads, values
 
     def value_block_crn(self, points, seed, step, count):
-        Xb, yb = self._rows(seed, step, _rng.EVAL_STREAM, count)
+        Xb, yb = self._rows(seed, _rng.EVAL_STREAM, step, count)
         z = Xb @ points.T
         return _softplus(z) - yb[:, None] * z
 
-    def batch_mean(self, x, seed, step, count):
-        value, gradient = _mean_loss_and_gradient(*self._rows(seed, step, _rng.GRAD_STREAM, count), x)
+    def batch_mean(self, x, seed, stream, step, count):
+        value, gradient = _mean_loss_and_gradient(*self._rows(seed, stream, step, count), x)
         return gradient, value
-
-    def value_means_crn(self, points, seed, step, count):
-        return _mean_losses(*self._rows(seed, step, _rng.EVAL_STREAM, count), points)
 
 
 class LogisticProblem:
@@ -439,8 +437,8 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV (header row; label column named 'y', any position)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read a dataset CSV (header row; label column 'y' anywhere; optional UTF-8 BOM)."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

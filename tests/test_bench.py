@@ -197,10 +197,28 @@ class TestKeyValueFile:
         path.write_text("# comment\n\n m = 100 \nn=4\n", encoding="utf-8")
         assert read_key_value_file(path) == {"m": "100", "n": "4"}
 
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"\xef\xbb\xbfm=100\nn=4\n")
+        assert read_key_value_file(path) == {"m": "100", "n": "4"}
+
     def test_reports_line_number_for_bad_lines(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("m=100\nnot a pair\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2:"):
+            read_key_value_file(path)
+
+    def test_a_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("m=100\n# m again\n m = 200\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":3: key 'm' repeats line 1$"):
+            read_key_value_file(path)
+
+    @pytest.mark.parametrize("line", ["=5", " = 5", "="])
+    def test_a_line_without_a_key_reports_its_line(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"m=100\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":2: expected key=value"):
             read_key_value_file(path)
 
 

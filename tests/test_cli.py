@@ -199,6 +199,17 @@ class TestBench:
         assert "budget" in err and "is 0" in err and "max_iters" in err
         assert not (tmp_path / "bench").exists()
 
+    @pytest.mark.parametrize("text, fragment", [("m=100\nm=200\n", ":2: key 'm' repeats line 1"),
+                                                ("=5\n", ":1: expected key=value")],
+                             ids=["repeated-key", "empty-key"])
+    def test_a_bad_config_line_exits_2_with_its_line_number(self, tmp_path, capsys, text, fragment):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(_bench_args(tmp_path, config=cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "bench").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("momentum=0.9\n", encoding="utf-8")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsopt import _rng, problems
+from ellipsopt import _rng
 from ellipsopt.geometry import Ball, Box
 from ellipsopt.oracles import (
     BatchSpec,
@@ -99,7 +99,7 @@ def test_minibatch_gradient_passes_a_block_to_the_oracle_and_rejects_a_non_finit
     block = np.array([[1.0, -0.5], [0.25, 0.75]])
     batch = BatchSpec(size=64, seed=3)
     gradients, values = minibatch_gradient(oracle, block, batch, step=5)
-    expected_gradients, expected_values = oracle.batch_mean(block, batch.seed, 5, batch.size)
+    expected_gradients, expected_values = oracle.batch_mean(block, batch.seed, _rng.GRAD_STREAM, 5, batch.size)
     assert gradients.shape == (2, 2) and values.shape == (2,)
     assert _hex(gradients.ravel()) == _hex(expected_gradients.ravel()) and _hex(values) == _hex(expected_values)
     with pytest.raises(ValueError, match="finite"):
@@ -123,8 +123,8 @@ def test_gaussian_oracle_value_noise_is_consistent_with_gradient():
     origin = np.zeros(2)
     _, values = oracle.draw_block(origin, seed=5, step=0, count=8)
     assert _hex(values) == _hex([0.1] * 8)
-    assert _hex(oracle.batch_mean(origin, seed=5, step=0, count=8)[1]) == _hex(0.1)
-    means = oracle.value_means_crn(np.zeros((3, 2)), seed=5, step=0, count=8)
+    assert _hex(oracle.batch_mean(origin, seed=5, stream=_rng.GRAD_STREAM, step=0, count=8)[1]) == _hex(0.1)
+    means = estimate_values(oracle, np.zeros((3, 2)), BatchSpec(size=8, seed=5))
     assert _hex(means) == _hex([0.1] * 3)
 
 
@@ -136,7 +136,7 @@ def test_gaussian_means_equal_the_mean_of_the_per_draw_reference(n, count):
     rng = np.random.default_rng(n)
     x = rng.uniform(-0.5, 0.5, size=n)
     grads, values = oracle.draw_block(x, seed, step, count)
-    gradient, value = oracle.batch_mean(x, seed, step, count)
+    gradient, value = oracle.batch_mean(x, seed, _rng.GRAD_STREAM, step, count)
     np.testing.assert_allclose(gradient, grads.mean(axis=0), rtol=0, atol=1e-12)
     assert abs(value - values.mean()) <= 1e-12
     # value draws f(p) + <zeta, p> at each point, zeta from the eval stream
@@ -144,7 +144,7 @@ def test_gaussian_means_equal_the_mean_of_the_per_draw_reference(n, count):
     key = _rng.stream_key(seed, _rng.EVAL_STREAM, step)
     zeta = sigma / math.sqrt(2 * n) * _rng.standard_normals(key, count, n)
     draws = np.einsum("ij,ij->i", points, points) + zeta @ points.T
-    means = oracle.value_means_crn(points, seed, step, count)
+    means = estimate_values(oracle, points, BatchSpec(size=count, seed=seed), step=step)
     np.testing.assert_allclose(means, draws.mean(axis=0), rtol=0, atol=1e-12)
 
 
@@ -217,7 +217,7 @@ PINNED_NOISE_MEANS = {
 @pytest.mark.parametrize("count, n", sorted(PINNED_NOISE_MEANS))
 def test_noise_means_are_pinned_to_recorded_bits(count, n):
     oracle = GaussianOracle(quad_value_grad, n, sigma=0.5)
-    gradient, value = oracle.batch_mean(np.zeros(n), seed=5, step=3, count=count)
+    gradient, value = oracle.batch_mean(np.zeros(n), seed=5, stream=_rng.GRAD_STREAM, step=3, count=count)
     assert _hex(gradient) == PINNED_NOISE_MEANS[count, n]
     assert value == 0.0
 
@@ -240,7 +240,7 @@ def test_fused_logistic_batch_mean_matches_the_per_draw_mean():
     x = np.random.default_rng(1).uniform(-0.2, 0.2, size=55)
     r = 4096
     grads, values = logistic.draw_block(x, 3, 4, r)
-    gradient, value = logistic.batch_mean(x, 3, 4, r)
+    gradient, value = logistic.batch_mean(x, 3, _rng.GRAD_STREAM, 4, r)
     assert np.all(np.abs(gradient - grads.mean(axis=0)) <= _mean_slack(grads, r))
     assert abs(value - values.mean()) <= _mean_slack(values, r)
 
@@ -251,7 +251,7 @@ def test_fused_logistic_value_means_match_the_per_draw_means():
     points = np.random.default_rng(2).uniform(-0.2, 0.2, size=(7, 55))
     r, n = 4096, 55
     block = logistic.value_block_crn(points, 3, 4, r)
-    means = logistic.value_means_crn(points, 3, 4, r)
+    means = estimate_values(logistic, points, BatchSpec(size=r, seed=3), step=4)
     # the two paths may also round a draw's logit z differently: z is a dot
     # product of n terms with |z| <= A, and the loss is 1-Lipschitz in z, so
     # evaluating z and the loss errs by at most (n + 5) * u * A + 4u per path
@@ -268,63 +268,32 @@ def test_estimate_values_shares_noise_across_points():
     assert values[0] == values[1]
 
 
-def _recording_product_widths(monkeypatch, widths):
-    """Record the rows of each product block the logistic value means take.
-
-    One loss pass per product block makes each block one ``_losses_into``
-    call; the loss blocking never changes a value's bits."""
-    losses_into = problems._losses_into
-
-    def recording(z, y, out):
-        widths.append(z.shape[0])
-        return losses_into(z, y, out)
-
-    monkeypatch.setattr(problems, "_LOSS_BLOCK_ELEMENTS", 2**62)
-    monkeypatch.setattr(problems, "_losses_into", recording)
-
-
 def _logistic_oracle(n):
     ds, _ = generate_synthetic(300, n, seed=3)
     return LogisticOracle(ds.features, ds.labels)
 
 
-def test_blocked_estimates_equal_one_block_estimates_bit_for_bit(monkeypatch):
-    oracle = _logistic_oracle(55)
-    batch = BatchSpec(size=4096, seed=7)
-    per_block = problems._PRODUCT_BLOCK_ELEMENTS // batch.size
-    points = np.random.default_rng(0).uniform(-0.3, 0.3, size=(2 * per_block + 1, 55))
-    widths = []
-    _recording_product_widths(monkeypatch, widths)
-    values = estimate_values(oracle, points, batch, step=2)
-    assert len(widths) == 3
-    monkeypatch.setattr(problems, "_PRODUCT_BLOCK_ELEMENTS", batch.size * points.shape[0])
-    assert _hex(values) == _hex(estimate_values(oracle, points, batch, step=2))
-    assert widths[-1] == points.shape[0]
+_VALUE_ORACLES = [lambda: _logistic_oracle(3), lambda: GaussianOracle(quad_value_grad, 3, sigma=0.4),
+                  lambda: PerturbedOracle(quad_value_grad, 3, 0.1)]
+_VALUE_ORACLE_IDS = ["logistic", "gaussian", "perturbed"]
 
 
-def test_blocks_hold_two_to_the_cap_points(monkeypatch):
-    oracle = _logistic_oracle(2)
-    batch = BatchSpec(size=16, seed=0)
-    monkeypatch.setattr(problems, "_PRODUCT_BLOCK_ELEMENTS", 3 * batch.size)
-    points = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 2))
-    widths = []
-    _recording_product_widths(monkeypatch, widths)
-    for k in range(2, 41):
-        widths.clear()
-        estimate_values(oracle, points[:k], batch)
-        # a one-point block would take numpy's matrix-vector path
-        assert sum(widths) == k and min(widths) >= 2 and max(widths) <= 3
+@pytest.mark.parametrize("make", _VALUE_ORACLES, ids=_VALUE_ORACLE_IDS)
+@pytest.mark.parametrize("points", [1, 2, 100])
+def test_estimates_are_the_value_half_of_the_batch_mean_on_the_eval_stream(make, points):
+    oracle = make()
+    P = np.random.default_rng(points).uniform(-0.5, 0.5, size=(points, 3))
+    values = estimate_values(oracle, P, BatchSpec(size=64, seed=9), step=2)
+    assert _hex(values) == _hex(oracle.batch_mean(P, 9, _rng.EVAL_STREAM, 2, 64)[1])
 
 
-def test_estimate_values_memory_stays_bounded_by_the_block_size(peak_bytes):
-    ds, _ = generate_synthetic(300, 3, seed=1)
-    logistic = LogisticOracle(ds.features, ds.labels)
-    batch = BatchSpec(size=4096, seed=0)
-    bound = 6 * problems._PRODUCT_BLOCK_ELEMENTS * 8
-    points = np.zeros((8192, 3))
-    # one unblocked (batch x points) float64 value matrix alone exceeds the bound
-    assert batch.size * points.shape[0] * 8 > bound
-    assert peak_bytes(lambda: estimate_values(logistic, points, batch)) <= bound
+@pytest.mark.parametrize("make", _VALUE_ORACLES[:2], ids=_VALUE_ORACLE_IDS[:2])
+def test_estimates_and_gradient_means_read_disjoint_streams(make):
+    oracle = make()
+    P = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 3))
+    eval_gradients, eval_values = oracle.batch_mean(P, 9, _rng.EVAL_STREAM, 2, 64)
+    gradients, values = minibatch_gradient(oracle, P, BatchSpec(size=64, seed=9), step=2)
+    assert np.all(eval_values != values) and np.all(eval_gradients != gradients)
 
 
 # bytes of one (21888, 2) float64 block: theorem2-n2's noise at its theory batch
@@ -334,7 +303,7 @@ _NOISE_BLOCK_BYTES = 8 * 21888 * 2
 @pytest.mark.parametrize("draw", [
     lambda: _rng.standard_normals(_rng.stream_key(3, _rng.GRAD_STREAM, 4), 21888, 2),
     lambda: GaussianOracle(quad_value_grad, 2, sigma=0.25).batch_mean(
-        np.array([0.1, -0.2]), 3, 4, 21888),
+        np.array([0.1, -0.2]), 3, _rng.GRAD_STREAM, 4, 21888),
 ], ids=["standard_normals", "gaussian_batch_mean"])
 def test_a_gaussian_draw_peaks_at_two_noise_blocks(draw, peak_bytes):
     draw()  # the key table is cached, not part of a draw
@@ -349,7 +318,7 @@ def test_perturbed_oracle_offset_norm_and_exact_values():
     assert PerturbedOracle(quad_value_grad, 3, 0.0).is_exact
     x = np.array([0.3, 0.4, -0.2])
     for step in range(5):
-        gradient, value = oracle.batch_mean(x, seed=0, step=step, count=1)
+        gradient, value = oracle.batch_mean(x, seed=0, stream=_rng.GRAD_STREAM, step=step, count=1)
         assert np.linalg.norm(gradient - 2.0 * x) == pytest.approx(eta, rel=1e-12)
         assert value == pytest.approx(float(x @ x), rel=1e-15)
 
@@ -363,11 +332,11 @@ def test_exact_oracles_answer_exactly_at_any_batch_size(make):
     points = np.array([[0.0, 0.0, 0.0], [0.3, -0.1, 0.2]])
     exact = [shifted_value_grad(p) for p in points]
     for p, (value, grad) in zip(points, exact):
-        gradient, mean = oracle.batch_mean(p, seed=1, step=2, count=3)
+        gradient, mean = oracle.batch_mean(p, seed=1, stream=_rng.GRAD_STREAM, step=2, count=3)
         assert _hex(mean) == _hex(value)
-        offset = oracle.offset(1, 2) if isinstance(oracle, PerturbedOracle) else 0.0
+        offset = oracle.offset(1, _rng.GRAD_STREAM, 2) if isinstance(oracle, PerturbedOracle) else 0.0
         assert _hex(gradient) == _hex(grad + offset)
-    means = oracle.value_means_crn(points, seed=1, step=2, count=3)
+    means = estimate_values(oracle, points, BatchSpec(size=3, seed=1), step=2)
     assert _hex(means) == _hex([value for value, _ in exact])
 
 
@@ -383,13 +352,13 @@ def nan_beyond_value_grad(x):
 def test_a_non_finite_objective_value_raises(make):
     oracle = make()
     inside, beyond = np.array([0.1, 0.0]), np.array([0.5, 0.0])
-    oracle.batch_mean(inside, seed=0, step=0, count=8)
+    oracle.batch_mean(inside, seed=0, stream=_rng.GRAD_STREAM, step=0, count=8)
     with pytest.raises(ValueError, match="objective values must be finite"):
-        oracle.batch_mean(beyond, seed=0, step=0, count=8)
+        oracle.batch_mean(beyond, seed=0, stream=_rng.GRAD_STREAM, step=0, count=8)
     with pytest.raises(ValueError, match="objective values must be finite"):
-        oracle.batch_mean(np.vstack([inside, beyond]), seed=0, step=0, count=8)
+        oracle.batch_mean(np.vstack([inside, beyond]), seed=0, stream=_rng.GRAD_STREAM, step=0, count=8)
     with pytest.raises(ValueError, match="objective values must be finite"):
-        oracle.value_means_crn(np.vstack([inside, beyond]), seed=0, step=0, count=8)
+        estimate_values(oracle, np.vstack([inside, beyond]), BatchSpec(size=8, seed=0))
 
 
 def _features_and_labels(m, n):

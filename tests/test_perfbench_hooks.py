@@ -76,7 +76,7 @@ def test_a_split_gaussian_draw_records_one_span_per_traced_call(hook_modules, mo
     tracer.install()
     try:
         with tracer.region("call", "call0"):
-            oracle.batch_mean(np.array([0.5, -0.25]), 0, 3, 21888)
+            oracle.batch_mean(np.array([0.5, -0.25]), 0, _rng.GRAD_STREAM, 3, 21888)
     finally:
         tracer.uninstall()
     assert tracer.restored()

@@ -205,9 +205,28 @@ class TestBlockedLossPasses:
     def test_value_means_equal_one_pass(self, count, points, n):
         oracle = LogisticProblem(generate_synthetic(2000, n, seed=n)[0]).oracle()
         P = _spread_weights(points, n, seed=count)
-        Xb, yb = oracle._rows(5, 3, _rng.EVAL_STREAM, count)
+        Xb, yb = oracle._rows(5, _rng.EVAL_STREAM, 3, count)
         reference = _one_pass_losses(P @ Xb.T, yb).mean(axis=1)
-        assert np.array_equal(oracle.value_means_crn(P, 5, 3, count), reference)
+        assert np.array_equal(oracle.batch_mean(P, 5, _rng.EVAL_STREAM, 3, count)[1], reference)
+
+    def test_blocks_hold_two_to_the_cap_points(self, monkeypatch):
+        problem = LogisticProblem(generate_synthetic(300, 2, seed=3)[0])
+        monkeypatch.setattr(problems, "_PRODUCT_BLOCK_ELEMENTS", 3 * problem.dataset.size)
+        # one loss pass per product block makes each block one _losses_into call
+        monkeypatch.setattr(problems, "_LOSS_BLOCK_ELEMENTS", 2**62)
+        losses_into, widths = problems._losses_into, []
+
+        def recording(z, y, out):
+            widths.append(z.shape[0])
+            return losses_into(z, y, out)
+
+        monkeypatch.setattr(problems, "_losses_into", recording)
+        W = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 2))
+        for k in range(2, 41):
+            widths.clear()
+            problem.objective_many(W[:k])
+            # a one-row block would take numpy's matrix-vector path
+            assert sum(widths) == k and min(widths) >= 2 and max(widths) <= 3
 
     def test_objective_many_peaks_below_the_one_pass_version(self, peak_bytes):
         problem = LogisticProblem(generate_synthetic(10000, 55, seed=3)[0])
@@ -608,6 +627,15 @@ class TestDatasetCsv:
             except DatasetFormatError as exc:
                 assert fragment in str(exc)
                 raise
+
+    @pytest.mark.parametrize("header, row", [("y,f0,f1", "1,1.0,2.0"), ("f0,f1,y", "1.0,2.0,1")],
+                             ids=["label-first", "label-last"])
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, header, row):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n{row}\n".encode())
+        loaded = load_dataset_csv(path)
+        np.testing.assert_array_equal(loaded.features, [[1.0, 2.0]])
+        np.testing.assert_array_equal(loaded.labels, [1.0])
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "data.csv"

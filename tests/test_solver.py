@@ -170,11 +170,8 @@ class _ZeroMeanOracle(StochasticGradOracle):
 
     dimension = 2
 
-    def batch_mean(self, x, seed, step, count):
+    def batch_mean(self, x, seed, stream, step, count):
         return np.zeros_like(x), np.zeros(x.shape[:-1])
-
-    def value_means_crn(self, points, seed, step, count):
-        return np.zeros(len(points))
 
 
 def test_a_zero_batch_mean_ends_degenerate_and_selects_a_feasible_center():
@@ -196,11 +193,8 @@ class _ScriptedOracle(StochasticGradOracle):
     dimension = 2
     VALUES = (3.0, -9.0, 1.0, 2.0, 1.0, 4.0)
 
-    def batch_mean(self, x, seed, step, count):
+    def batch_mean(self, x, seed, stream, step, count):
         return np.array([1.0, 0.5]), self.VALUES[step]
-
-    def value_means_crn(self, points, seed, step, count):
-        return np.zeros(len(points))
 
 
 class _SecondCenterOutside(Ball):
@@ -230,6 +224,31 @@ def test_solve_returns_the_earliest_center_with_the_lowest_recorded_estimate():
     assert np.array_equal(report.best_point, report.records.centers[2])
     assert not np.array_equal(report.best_point, report.records.centers[4])
     assert report.best_estimate == 1.0
+
+
+class _QuadraticMeanOracle(StochasticGradOracle):
+    """A user-written oracle: ||x - t||^2 with exact means, given by
+    ``dimension`` and ``batch_mean`` alone."""
+
+    dimension = 2
+    TARGET = np.array([0.25, -0.5])
+
+    def batch_mean(self, x, seed, stream, step, count):
+        d = x - self.TARGET
+        return 2.0 * d, np.vecdot(d, d)
+
+
+def test_an_oracle_with_only_a_batch_mean_solves_with_a_probed_range():
+    ball = Ball(np.zeros(2), 1.0)
+    oracle = _QuadraticMeanOracle()
+    config = SolverConfig(eps=0.01, sigma=0.5, batch_size=8, max_iterations=40)
+    plan = resolve_plan(oracle, ball, config)
+    # B is twice the probe's spread, and values on the ball lie in [0, (1 + |t|)^2]
+    assert plan.value_range == estimate_value_range(oracle, ball, seed=config.seed)
+    assert 0.0 < plan.value_range < 2.0 * (1.0 + np.linalg.norm(oracle.TARGET)) ** 2
+    report = solve(oracle, ball, config)
+    assert report.termination == TERMINATION_BUDGET and report.iterations == 40
+    assert np.linalg.norm(report.best_point - oracle.TARGET) < 0.05
 
 
 def test_an_exact_oracle_stops_at_an_eps_certificate():
